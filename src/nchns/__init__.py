@@ -11,8 +11,8 @@ from .grid import (Grid2D, ScalarField, TensorField, VectorField,
                    advect_scalar, advect_vector, divergence_face_to_cc,
                    div_viscous_stress, gradient_cc_to_face, inner_product_l2,
                    integral, laplacian_neumann, norm_l2, sym_gradient)
-from .kernels import (Kernel, check_admissibility, compute_mass_field,
-                      convolve, grad_convolve, grad_dot_convolve, make_kernel)
+from .kernels import (Kernel, check_admissibility, convolve, grad_convolve,
+                      grad_dot_convolve, make_kernel)
 from .physics import (DoubleWell, HypothesisConstants, Viscosity,
                       chemical_potential, validate_potential_conditions,
                       validate_viscosity_bounds)

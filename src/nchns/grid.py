@@ -207,15 +207,6 @@ class TensorField:
 # ---------------------------------------------------------------------------
 # padding helpers (ghost layers)
 
-def _pad_mirror_x(phi):
-    """Neumann ghost columns: phi[-1] = phi[0], phi[nx] = phi[nx-1]."""
-    return np.pad(phi, ((1, 1), (0, 0)), mode="edge")
-
-
-def _pad_mirror_y(phi):
-    return np.pad(phi, ((0, 0), (1, 1)), mode="edge")
-
-
 def _pad_reflect_neg_y(w):
     """No-slip ghost rows for a tangential face component: w[-1] = -w[0]."""
     return np.concatenate([-w[:, :1], w, -w[:, -1:]], axis=1)
@@ -258,11 +249,23 @@ def laplacian_neumann(phi: ScalarField) -> ScalarField:
 
 
 def laplacian_neumann_array(v: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Array-level Neumann Laplacian (hot path for the iterative solvers)."""
-    px = _pad_mirror_x(v)
-    py = _pad_mirror_y(v)
-    return ((px[2:, :] - 2.0 * v + px[:-2, :]) / grid.dx ** 2
-            + (py[:, 2:] - 2.0 * v + py[:, :-2]) / grid.dy ** 2)
+    """Array-level Neumann Laplacian (hot path for the iterative solvers).
+
+    Flux form: each interior face difference is added to the cell on one
+    side and subtracted from the cell on the other; boundary faces carry no
+    flux, which is what mirror ghosts v[-1] = v[0], v[n] = v[n-1] give.
+    """
+    out = np.empty_like(v)
+    flux = np.subtract(v[1:, :], v[:-1, :])
+    flux /= grid.dx ** 2
+    out[:-1, :] = flux
+    out[-1, :] = 0.0
+    out[1:, :] -= flux
+    flux = np.subtract(v[:, 1:], v[:, :-1])
+    flux /= grid.dy ** 2
+    out[:, :-1] += flux
+    out[:, 1:] -= flux
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +339,22 @@ def ux_at_yfaces(w: VectorField) -> np.ndarray:
 # derived operators
 
 def _node_shear_rates(u: VectorField):
-    """(d_y ux, d_x uy) at grid nodes with no-slip reflection ghosts."""
+    """(d_y ux, d_x uy) at grid nodes with no-slip reflection ghosts.
+
+    The ghost w[-1] = -w[0] turns the wall difference into 2 w[0] (and
+    -2 w[n-1] at the far wall), written straight into the node array.
+    """
     g = u.grid
-    uxp = _pad_reflect_neg_y(u.ux)      # (nx+1, ny+2)
-    duxdy = (uxp[:, 1:] - uxp[:, :-1]) / g.dy          # (nx+1, ny+1) at nodes
-    uyp = _pad_reflect_neg_x(u.uy)      # (nx+2, ny+1)
-    duydx = (uyp[1:, :] - uyp[:-1, :]) / g.dx          # (nx+1, ny+1)
+    duxdy = np.empty((g.nx + 1, g.ny + 1))
+    np.subtract(u.ux[:, 1:], u.ux[:, :-1], out=duxdy[:, 1:-1])
+    np.multiply(u.ux[:, 0], 2.0, out=duxdy[:, 0])
+    np.multiply(u.ux[:, -1], -2.0, out=duxdy[:, -1])
+    duxdy /= g.dy
+    duydx = np.empty((g.nx + 1, g.ny + 1))
+    np.subtract(u.uy[1:, :], u.uy[:-1, :], out=duydx[1:-1, :])
+    np.multiply(u.uy[0, :], 2.0, out=duydx[0, :])
+    np.multiply(u.uy[-1, :], -2.0, out=duydx[-1, :])
+    duydx /= g.dx
     return duxdy, duydx
 
 
@@ -419,9 +432,22 @@ def div_viscous_stress(nu_cc: ScalarField, u: VectorField,
 
 
 def _nodes_from_cc(c: np.ndarray) -> np.ndarray:
-    """4-point average of a cell field to nodes (edge replication outside)."""
-    p = np.pad(c, 1, mode="edge")
-    return 0.25 * (p[1:, 1:] + p[1:, :-1] + p[:-1, 1:] + p[:-1, :-1])
+    """4-point average of a cell field to nodes (edge replication outside).
+
+    Pairwise sums along x, then along y; a boundary node doubles its one
+    neighbour in place of the replicated ghost.
+    """
+    nx, ny = c.shape
+    sx = np.empty((nx + 1, ny))
+    np.add(c[1:, :], c[:-1, :], out=sx[1:-1, :])
+    np.multiply(c[0, :], 2.0, out=sx[0, :])
+    np.multiply(c[-1, :], 2.0, out=sx[-1, :])
+    out = np.empty((nx + 1, ny + 1))
+    np.add(sx[:, 1:], sx[:, :-1], out=out[:, 1:-1])
+    np.multiply(sx[:, 0], 2.0, out=out[:, 0])
+    np.multiply(sx[:, -1], 2.0, out=out[:, -1])
+    out *= 0.25
+    return out
 
 
 def advect_scalar(u: VectorField, phi: ScalarField) -> ScalarField:

@@ -9,14 +9,25 @@ with the field inner product:
 * ``grad_convolve``     -- (grad K * phi)(x), interpolated to faces
 * ``grad_dot_convolve`` -- sum_y grad K(x - y) . grad phi(y) dx dy
 
-Convolutions run through zero-padded real FFTs with the kernel transform
+Convolutions run through zero-padded real FFTs with the kernel transforms
 cached; this matches the direct double sum to round-off because the discrete
-sum is exactly a linear convolution.
+sum is exactly a linear convolution.  Along an axis with n cells the stencil
+has 2n - 1 entries and the field n, so their linear convolution has 3n - 2
+entries, of which only the n in the middle (indices n - 1 .. 2n - 2) are
+wanted.  A cyclic convolution of length N >= 2n - 1 folds entry k onto
+k mod N: the wanted indices are below N and their aliases k + N lie past
+3n - 3, so they come out exact.  This is the circulant embedding of a
+Toeplitz matrix (Chan & Jin, An Introduction to Iterative Toeplitz Solvers,
+2007), and the padding is ``next_fast_len(2n - 1)`` per axis.  The transform
+is applied one axis at a time, so the real transform along y runs only on
+the n rows that hold data and the inverse one only on the n rows that are
+kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -54,42 +65,43 @@ class Kernel:
     mass_field: ScalarField = field(default=None)
 
     def __post_init__(self):
-        self._fshape = (sfft.next_fast_len(3 * self.grid.nx - 2),
-                        sfft.next_fast_len(3 * self.grid.ny - 2))
-        self._khat = None
-        self._gxhat = None
-        self._gyhat = None
+        self._fshape = (sfft.next_fast_len(2 * self.grid.nx - 1),
+                        sfft.next_fast_len(2 * self.grid.ny - 1))
         if self.mass_field is None:
-            self.mass_field = self._compute_mass_field()
+            hat = self._fwd(np.ones((self.grid.nx, self.grid.ny)))
+            hat *= self._khat
+            self.mass_field = ScalarField(self.grid, self._inv(hat))
 
     # -- fast transform plumbing ------------------------------------------
 
-    def _hat(self, stencil):
-        return sfft.rfft2(stencil, s=self._fshape, workers=fft_workers())
-
-    def _conv(self, values: np.ndarray, what: str) -> np.ndarray:
-        if what == "k":
-            if self._khat is None:
-                self._khat = self._hat(self.stencil)
-            khat = self._khat
-        elif what == "gx":
-            if self._gxhat is None:
-                self._gxhat = self._hat(self.gx_stencil)
-            khat = self._gxhat
-        else:
-            if self._gyhat is None:
-                self._gyhat = self._hat(self.gy_stencil)
-            khat = self._gyhat
+    def _fwd(self, values: np.ndarray) -> np.ndarray:
+        """Zero-padded real 2D transform of a cell field or a stencil."""
         w = fft_workers()
-        vhat = sfft.rfft2(values, s=self._fshape, workers=w)
-        full = sfft.irfft2(vhat * khat, s=self._fshape, workers=w)
-        nx, ny = self.grid.nx, self.grid.ny
-        out = full[nx - 1:2 * nx - 1, ny - 1:2 * ny - 1]
-        return out * self.grid.cell_volume
+        hat = sfft.rfft(values, n=self._fshape[1], axis=1, workers=w)
+        return sfft.fft(hat, n=self._fshape[0], axis=0, overwrite_x=True, workers=w)
 
-    def _compute_mass_field(self) -> ScalarField:
-        ones = np.ones((self.grid.nx, self.grid.ny))
-        return ScalarField(self.grid, self._conv(ones, "k"))
+    def _inv(self, hat: np.ndarray) -> np.ndarray:
+        """Inverse of ``_fwd`` restricted to the domain, times the cell volume.
+
+        Overwrites ``hat``.
+        """
+        w = fft_workers()
+        nx, ny = self.grid.nx, self.grid.ny
+        rows = sfft.ifft(hat, axis=0, overwrite_x=True, workers=w)[nx - 1:2 * nx - 1]
+        full = sfft.irfft(rows, n=self._fshape[1], axis=1, workers=w)
+        return full[:, ny - 1:2 * ny - 1] * self.grid.cell_volume
+
+    @cached_property
+    def _khat(self):
+        return self._fwd(self.stencil)
+
+    @cached_property
+    def _gxhat(self):
+        return self._fwd(self.gx_stencil)
+
+    @cached_property
+    def _gyhat(self):
+        return self._fwd(self.gy_stencil)
 
     # -- public surface ----------------------------------------------------
 
@@ -154,20 +166,19 @@ def convolve(kernel: Kernel, phi: ScalarField) -> ScalarField:
     """Domain-restricted convolution (K * phi) at cell centers."""
     if phi.grid != kernel.grid:
         raise GridMismatchError("field grid does not match kernel grid")
-    return ScalarField(phi.grid, kernel._conv(phi.values, "k"))
-
-
-def compute_mass_field(kernel: Kernel) -> ScalarField:
-    """a(x) = (K * 1)(x); identical quadrature as ``convolve`` by construction."""
-    return kernel.mass_field
+    hat = kernel._fwd(phi.values)
+    hat *= kernel._khat
+    return ScalarField(phi.grid, kernel._inv(hat))
 
 
 def grad_convolve(kernel: Kernel, phi: ScalarField) -> VectorField:
     """(grad K * phi) via the tabulated gradient, interpolated to faces."""
     if phi.grid != kernel.grid:
         raise GridMismatchError("field grid does not match kernel grid")
-    gx = kernel._conv(phi.values, "gx")
-    gy = kernel._conv(phi.values, "gy")
+    hat = kernel._fwd(phi.values)
+    gx = kernel._inv(hat * kernel._gxhat)
+    hat *= kernel._gyhat
+    gy = kernel._inv(hat)
     return cc_components_to_faces(kernel.grid, gx, gy, boundary="edge")
 
 
@@ -176,8 +187,12 @@ def grad_dot_convolve(kernel: Kernel, q: ScalarField) -> ScalarField:
     if q.grid != kernel.grid:
         raise GridMismatchError("field grid does not match kernel grid")
     qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
-    out = kernel._conv(qx_cc, "gx") + kernel._conv(qy_cc, "gy")
-    return ScalarField(q.grid, out)
+    hat = kernel._fwd(qx_cc)
+    hat *= kernel._gxhat
+    hy = kernel._fwd(qy_cc)
+    hy *= kernel._gyhat
+    hat += hy
+    return ScalarField(q.grid, kernel._inv(hat))
 
 
 @dataclass

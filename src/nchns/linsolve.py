@@ -64,20 +64,31 @@ class _NeumannSpectralInverse:
         rhat *= self._inv
         if self.singular:
             rhat[0, 0] = 0.0
-        return sfft.idctn(rhat, type=2, norm="ortho", workers=w)
+        return sfft.idctn(rhat, type=2, norm="ortho", overwrite_x=True, workers=w)
 
 
 def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
-    vol_mean = (lambda a: a - a.mean()) if project_mean else (lambda a: a)
-    b = vol_mean(b)
+    """Preconditioned CG from x = 0, stopping when max|r| <= atol.
+
+    ``b`` is left unchanged.  The loop updates x, r and p in place and keeps
+    one scratch buffer for alpha p and |r|, so an iteration allocates only
+    the arrays ``apply_op`` and ``precond`` return; those must be fresh
+    arrays, because the mean projection and the alpha scaling act on them
+    in place.
+    """
+    def vol_mean(a):
+        if project_mean:
+            a -= a.mean()
+        return a
+
     x = np.zeros_like(b)
-    r = b.copy()
-    res = float(np.max(np.abs(r)))
+    r = b - b.mean() if project_mean else b.copy()
+    buf = np.empty_like(b)
+    res = float(np.abs(r, out=buf).max())
     if res <= atol:
         return x, SolveInfo(0, res)
-    z = vol_mean(precond(r))
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    p = vol_mean(precond(r))
+    rz = float(np.vdot(r, p))
     for it in range(1, maxiter + 1):
         ap = vol_mean(apply_op(p))
         denom = float(np.vdot(p, ap))
@@ -86,14 +97,16 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
                 "CG breakdown: operator not positive definite on the iterate space",
                 residual=res, iterations=it)
         alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        res = float(np.max(np.abs(r)))
+        x += np.multiply(p, alpha, out=buf)
+        ap *= alpha
+        r -= ap
+        res = float(np.abs(r, out=buf).max())
         if res <= atol:
             return x, SolveInfo(it, res)
         z = vol_mean(precond(r))
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverConvergenceError(
         f"CG did not reach residual {atol:.3e} in {maxiter} iterations "
@@ -138,6 +151,9 @@ class HelmholtzNeumannSolver:
         grid, dt, inv_c = self.grid, self.dt, self.inv_c
 
         def apply_op(v):
-            return inv_c * v - dt * laplacian_neumann_array(v, grid)
+            out = laplacian_neumann_array(v, grid)
+            out *= -dt
+            out += inv_c * v
+            return out
 
         return _cg(apply_op, b, self._pc.apply, atol=atol, maxiter=self.maxiter)

@@ -24,7 +24,6 @@ from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, div_viscous_stress, laplacian_neumann_array)
 from .kernels import convolve
 from .linsolve import SolverConvergenceError
-from .physics import chemical_potential  # noqa: F401  (re-exported for callers)
 
 
 @dataclass

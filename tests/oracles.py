@@ -7,11 +7,15 @@ no code path with the package's fast implementations.
 import numpy as np
 
 
-def direct_convolution(kernel, phi_values):
-    """O(N^2) double sum of the tabulated kernel against a cell field."""
+def direct_convolution(kernel, phi_values, stencil=None):
+    """O(N^2) double sum of a tabulated stencil against a cell field.
+
+    ``stencil`` defaults to the kernel's own; pass ``kernel.gx_stencil`` or
+    ``kernel.gy_stencil`` for the components of (grad K * phi).
+    """
     nx, ny = phi_values.shape
     out = np.zeros_like(phi_values)
-    st = kernel.stencil
+    st = kernel.stencil if stencil is None else stencil
     for i in range(nx):
         for j in range(ny):
             # reversed slice puts K((i-k) dx, (j-l) dy) against phi[k, l]
@@ -30,6 +34,35 @@ def direct_grad_dot_convolution(kernel, qx_cc, qy_cc):
             sly = kernel.gy_stencil[i:i + nx, j:j + ny][::-1, ::-1]
             out[i, j] = np.sum(slx * qx_cc) + np.sum(sly * qy_cc)
     return out * kernel.grid.cell_volume
+
+
+def direct_neumann_laplacian(v, dx, dy):
+    """5-point Laplacian with explicit mirror ghosts v[-1] = v[0], v[n] = v[n-1]."""
+    nx, ny = v.shape
+    out = np.zeros_like(v)
+    for i in range(nx):
+        for j in range(ny):
+            west = v[i - 1, j] if i > 0 else v[0, j]
+            east = v[i + 1, j] if i < nx - 1 else v[nx - 1, j]
+            south = v[i, j - 1] if j > 0 else v[i, 0]
+            north = v[i, j + 1] if j < ny - 1 else v[i, ny - 1]
+            out[i, j] = ((east - 2.0 * v[i, j] + west) / dx ** 2
+                         + (north - 2.0 * v[i, j] + south) / dy ** 2)
+    return out
+
+
+def direct_node_average(c):
+    """Mean of the four cells around each node, cell indices clamped to the grid."""
+    nx, ny = c.shape
+    out = np.zeros((nx + 1, ny + 1))
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            total = 0.0
+            for a in (i - 1, i):
+                for b in (j - 1, j):
+                    total += c[min(max(a, 0), nx - 1), min(max(b, 0), ny - 1)]
+            out[i, j] = 0.25 * total
+    return out
 
 
 def pairwise_mixing_energy(kernel, phi_values):

@@ -6,10 +6,11 @@ from nchns import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
                    gradient_cc_to_face, inner_product_l2, laplacian_neumann,
                    norm_l2, sym_gradient)
-from nchns.grid import GridMismatchError, HypothesisViolationError
+from nchns.grid import (GridMismatchError, HypothesisViolationError,
+                        _nodes_from_cc, laplacian_neumann_array)
 
 from conftest import solenoidal
-from oracles import fit_slope
+from oracles import direct_neumann_laplacian, direct_node_average, fit_slope
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,21 @@ def test_laplacian_self_adjoint(grid32, rng):
     a = inner_product_l2(laplacian_neumann(phi), psi)
     b = inner_product_l2(phi, laplacian_neumann(psi))
     assert abs(a - b) <= 1e-11 * max(abs(a), abs(b), 1.0)
+
+
+def test_laplacian_matches_ghost_cell_loops(rng):
+    grid = Grid2D(11, 17, 1.3, 0.7)
+    v = rng.standard_normal((11, 17))
+    direct = direct_neumann_laplacian(v, grid.dx, grid.dy)
+    err = np.max(np.abs(laplacian_neumann_array(v, grid) - direct))
+    assert err <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_node_average_matches_clamped_loops(rng):
+    # the edge-replicated cell-to-node average div_viscous_stress applies to nu
+    c = rng.standard_normal((11, 17))
+    direct = direct_node_average(c)
+    assert np.max(np.abs(_nodes_from_cc(c) - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy import fft as sfft
+
 from nchns import (Grid2D, ScalarField, check_admissibility, convolve,
                    grad_convolve, grad_dot_convolve, gradient_cc_to_face,
                    inner_product_l2, make_kernel, norm_l2)
-from nchns.grid import GridMismatchError, vector_to_cc
+from nchns.grid import GridMismatchError, cc_components_to_faces, vector_to_cc
 from nchns.kernels import Kernel
 
 from oracles import direct_convolution, direct_grad_dot_convolution
@@ -140,6 +142,42 @@ def test_grad_dot_convolve_matches_direct_sum():
     direct = direct_grad_dot_convolution(kern, qx_cc, qy_cc)
     rel = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
     assert rel <= 1e-12
+
+
+def _rel_err(fast, direct):
+    return np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("nx,ny", [(8, 13), (13, 8)])
+def test_tight_padding_matches_direct_sums(nx, ny, rng):
+    # 2n - 1 = 15 and 25 are fast lengths, so the transforms run at exactly
+    # the minimal circulant size: any under-padding would alias into the
+    # kept block.  A random non-symmetric stencil catches a flipped or
+    # shifted stencil.
+    assert sfft.next_fast_len(2 * nx - 1) == 2 * nx - 1
+    assert sfft.next_fast_len(2 * ny - 1) == 2 * ny - 1
+    grid = Grid2D(nx, ny, 1.0, 1.7)
+    shape = (2 * nx - 1, 2 * ny - 1)
+    kern = Kernel(grid, "gaussian", {}, rng.standard_normal(shape),
+                  rng.standard_normal(shape), rng.standard_normal(shape))
+    phi = rng.standard_normal((nx, ny))
+
+    assert _rel_err(convolve(kern, ScalarField(grid, phi)).values,
+                    direct_convolution(kern, phi)) <= 1e-12
+    assert _rel_err(kern.mass_field.values,
+                    direct_convolution(kern, np.ones((nx, ny)))) <= 1e-12
+
+    fast = grad_convolve(kern, ScalarField(grid, phi))
+    direct = cc_components_to_faces(
+        grid, direct_convolution(kern, phi, kern.gx_stencil),
+        direct_convolution(kern, phi, kern.gy_stencil), boundary="edge")
+    assert _rel_err(fast.ux, direct.ux) <= 1e-12
+    assert _rel_err(fast.uy, direct.uy) <= 1e-12
+
+    q = ScalarField(grid, phi)
+    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
+    assert _rel_err(grad_dot_convolve(kern, q).values,
+                    direct_grad_dot_convolution(kern, qx_cc, qy_cc)) <= 1e-12
 
 
 def test_admissibility_delta_kernel(grid16):

@@ -57,3 +57,16 @@ def test_helmholtz_iteration_cap(rng):
     solver = HelmholtzNeumannSolver(grid, c, 1e-3, maxiter=1)
     with pytest.raises(SolverConvergenceError):
         solver.solve(rng.standard_normal((16, 16)), atol=1e-15)
+
+
+def test_solves_leave_rhs_unchanged(rng):
+    # ForwardSolver.step_ch rebuilds phi_new from b after the Helmholtz
+    # solve, so a solve that wrote into b would break mass conservation
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    c = 1.0 + 0.5 * rng.random((24, 40))
+    b = rng.standard_normal((24, 40)) + 0.3     # not mean-zero
+    for solver in (HelmholtzNeumannSolver(grid, c, 1e-2), NeumannPoissonSolver(grid)):
+        kept = b.copy()
+        _, info = solver.solve(b, atol=1e-12)
+        assert info.iterations >= 1
+        assert np.array_equal(b, kept)
