@@ -4,15 +4,18 @@ The continuous adjoint equations are discretized with the forward solver's
 stencils (optimize-then-discretize): after reversing time both equations are
 forward-parabolic, so one backward step applies
 
-* an explicit viscous/transport update of the adjoint velocity followed by
-  the same pressure projection as the forward solver, then
+* an explicit viscous/transport update of the adjoint velocity through the
+  forward solver's ``advance_velocity`` (no-slip faces, then the same
+  pressure projection), then
 * a semi-implicit update of the adjoint phase in which the stiff part
   (a + F''(phi)) Lap q is implicit (coercive under the validated hypothesis
   a + F'' >= c1 > 0) and the bounded nonlocal term grad K .* grad q, the
   transport and all velocity couplings are explicit.
 
 Step n consumes the state snapshot at level n and the adjoint at level n+1;
-terminal values are seeded from the terminal tracking residuals.
+terminal values are seeded from the terminal tracking residuals.  A CFL
+violation, a CG failure or a loss of coercivity raises ``StepFailureError``
+naming the step.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardSolver, StateTrajectory, StepFailureError, kelvin_force
+from .forward import (CFLViolationError, ForwardSolver, StateTrajectory,
+                      StepFailureError, kelvin_force)
 from .grid import (Grid2D, ScalarField, VectorField, advect_vector,
                    cc_components_to_faces, div_viscous_stress,
                    full_gradient_cc, gradient_cc_to_face, sym_gradient,
@@ -33,13 +37,12 @@ from .problem import CostWeights, Targets
 
 @dataclass
 class AdjointTrajectory:
-    """Adjoint velocity/phase pairs per time level plus adjoint pressure."""
+    """Adjoint velocity/phase pairs per time level."""
 
     grid: Grid2D
     times: np.ndarray
     au: list
     aphi: list
-    api: list
 
     @property
     def nt(self) -> int:
@@ -73,7 +76,7 @@ class AdjointSolver:
         grid = self.fwd.grid
         seed = weights.b3 * (traj.u[-1] - targets.u_terminal)
         if weights.b3 != 0.0:
-            au_T, _ = self.fwd.project(seed)     # realize the divergence-free seed
+            au_T = self.fwd.project(seed)     # realize the divergence-free seed
         else:
             au_T = VectorField.zeros(grid)
         aphi_T = ScalarField(grid, weights.b4
@@ -84,7 +87,7 @@ class AdjointSolver:
                   state_mu: ScalarField, au_next: VectorField,
                   aphi_next: ScalarField, u_target: VectorField,
                   phi_target: ScalarField, weights: CostWeights):
-        """One reversed-time step; returns (au, aphi, api) at the lower level."""
+        """One reversed-time step; returns (au, aphi) at the lower level."""
         fwd = self.fwd
         dt = fwd.scheme.dt
         grid = fwd.grid
@@ -98,9 +101,7 @@ class AdjointSolver:
                - kelvin_force(aphi_next, state_phi))
         if weights.b1 != 0.0:
             rhs = rhs + weights.b1 * (state_u - u_target)
-        au_star = au_next + dt * rhs
-        au_star.enforce_noslip_normal()
-        au, api = fwd.project(au_star)
+        au = fwd.advance_velocity(au_next, rhs)
 
         # adjoint phase: stiff diffusion implicit, couplings explicit
         gphi = gradient_cc_to_face(state_phi)
@@ -127,10 +128,9 @@ class AdjointSolver:
                 "adjoint diffusion coefficient a + F''(phi) is not positive; "
                 "the coercivity hypothesis fails on this state")
         rhs_phase = (aphi_next.values + dt * explicit) / c_tilde
-        solver = HelmholtzNeumannSolver(grid, c_tilde, dt,
-                                        maxiter=fwd.scheme.max_solver_iter)
+        solver = HelmholtzNeumannSolver(grid, c_tilde, dt)
         aphi_vals, _ = solver.solve(rhs_phase, atol=fwd._atol(rhs_phase))
-        return au, ScalarField(grid, aphi_vals), api
+        return au, ScalarField(grid, aphi_vals)
 
     def run(self, traj: StateTrajectory, targets: Targets,
             weights: CostWeights) -> AdjointTrajectory:
@@ -143,16 +143,16 @@ class AdjointSolver:
         au_T, aphi_T = self.terminal_values(traj, targets, weights)
         au = [None] * (nt + 1)
         aphi = [None] * (nt + 1)
-        api = [None] * (nt + 1)
-        au[nt], aphi[nt], api[nt] = au_T, aphi_T, ScalarField.zeros(fwd.grid)
+        au[nt], aphi[nt] = au_T, aphi_T
         for n in range(nt - 1, -1, -1):
             try:
-                au[n], aphi[n], api[n] = self.step_back(
+                au[n], aphi[n] = self.step_back(
                     traj.u[n], traj.phi[n], traj.mu[n], au[n + 1], aphi[n + 1],
                     targets.u_running[n], targets.phi_running[n], weights)
-            except SolverConvergenceError as exc:
+            except (CFLViolationError, SolverConvergenceError,
+                    StepFailureError) as exc:
                 raise StepFailureError(str(exc), step=n) from exc
-        return AdjointTrajectory(fwd.grid, traj.times.copy(), au, aphi, api)
+        return AdjointTrajectory(fwd.grid, traj.times.copy(), au, aphi)
 
 
 def run_adjoint(forward: ForwardSolver, traj: StateTrajectory, targets: Targets,

@@ -50,10 +50,7 @@ SCHEMA = {
     "grid.ly": (float, 1.0),
     "time.dt": (float, 5e-5),
     "time.nt": (int, 100),
-    "scheme.s_stab": (_opt_float, None),
     "scheme.tol_p": (float, 1e-10),
-    "scheme.solve_rtol": (float, 1e-13),
-    "scheme.max_solver_iter": (int, 4000),
     "kernel.family": (str, "gaussian"),
     "kernel.width": (float, 0.15),
     "kernel.core_radius": (float, 0.05),
@@ -142,10 +139,7 @@ class RunConfig:
 
     def scheme(self) -> TimeScheme:
         return TimeScheme(dt=self["time.dt"], nt=self["time.nt"],
-                          s_stab=self["scheme.s_stab"],
-                          tol_p=self["scheme.tol_p"],
-                          solve_rtol=self["scheme.solve_rtol"],
-                          max_solver_iter=self["scheme.max_solver_iter"])
+                          tol_p=self["scheme.tol_p"])
 
     def solver(self) -> ForwardSolver:
         grid = self.grid()

@@ -17,7 +17,7 @@ independently of the linear-solver residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +49,15 @@ class StepFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeScheme:
-    """Step size, step count and the solver knobs shared by all three solvers."""
+    """Step size, step count and the projection tolerance of all three solvers."""
 
     dt: float
     nt: int
-    s_stab: float = None          # default set from the potential (2 * scale)
     tol_p: float = 1e-10          # max |div u| after projection
-    solve_rtol: float = 1e-13     # relative residual floor for the implicit solves
-    max_solver_iter: int = 4000
 
     def __post_init__(self):
         if self.dt <= 0 or self.nt < 1:
             raise ValueError("need dt > 0 and nt >= 1")
-        if self.s_stab is not None and self.s_stab < 0:
-            raise ValueError("stabilization must be nonnegative")
 
     @property
     def final_time(self) -> float:
@@ -90,7 +85,10 @@ class InitialData:
 
 @dataclass
 class StateTrajectory:
-    """Snapshots (u_k, phi_k, mu_k, pi_k) at every time level 0..nt."""
+    """Snapshots (u_k, phi_k, mu_k) at every time level 0..nt.
+
+    The pressure is not kept: no cost, gradient or gate reads it.
+    """
 
     grid: Grid2D
     scheme: TimeScheme
@@ -98,7 +96,6 @@ class StateTrajectory:
     u: list
     phi: list
     mu: list
-    pi: list
 
     @property
     def nt(self) -> int:
@@ -146,21 +143,19 @@ class ForwardSolver:
         self.potential = potential
         self.viscosity = viscosity
         self.scheme = scheme
-        self.s_stab = scheme.s_stab if scheme.s_stab is not None \
-            else 2.0 * potential.scale
+        self.s_stab = 2.0 * potential.scale
         self.c_implicit = kernel.mass_field.values + self.s_stab
         if np.any(self.c_implicit <= 0):
             raise ValueError("implicit coefficient a + s_stab must be positive")
-        self._helmholtz = HelmholtzNeumannSolver(grid, self.c_implicit, scheme.dt,
-                                                 maxiter=scheme.max_solver_iter)
-        self._poisson = NeumannPoissonSolver(grid, maxiter=scheme.max_solver_iter)
+        self._helmholtz = HelmholtzNeumannSolver(grid, self.c_implicit, scheme.dt)
+        self._poisson = NeumannPoissonSolver(grid)
 
     # -- tolerances ---------------------------------------------------------
 
     def _atol(self, b: np.ndarray) -> float:
-        # purely relative: keeps the solve maps scale-equivariant, which the
-        # linearity/superposition guarantees of the tangent solver rely on
-        return self.scheme.solve_rtol * float(np.max(np.abs(b)))
+        # purely relative (1e-13): keeps the solve maps scale-equivariant, which
+        # the linearity/superposition guarantees of the tangent solver rely on
+        return 1e-13 * float(np.max(np.abs(b)))
 
     def _pressure_atol(self, b: np.ndarray) -> float:
         return min(self.scheme.tol_p / self.scheme.dt, self._atol(b))
@@ -185,22 +180,41 @@ class ForwardSolver:
                   + self.potential.df(phi.values) - self.s_stab * phi.values)
         b = (phi.values - dt * advect_scalar(u, phi).values
              + dt * laplacian_neumann_array(g_expl, self.grid))
-        psi, _ = self._helmholtz.solve(b, atol=self._atol(b))
-        phi_new = ScalarField(self.grid, b + dt * laplacian_neumann_array(psi, self.grid))
+        phi_new = self.solve_phase(b)
         mu_new = chemical_potential(phi_new, self.kernel, self.potential)
         return phi_new, mu_new
 
+    def solve_phase(self, b: np.ndarray) -> ScalarField:
+        """Implicit phase solve for right-hand side b, shared with the tangent.
+
+        Solves for psi = c * phi_new and rebuilds phi_new = b + dt Lap_N psi
+        in flux form, so the cell sum of phi_new equals that of b to
+        round-off whatever the CG residual.
+        """
+        psi, _ = self._helmholtz.solve(b, atol=self._atol(b))
+        return ScalarField(self.grid,
+                           b + self.scheme.dt * laplacian_neumann_array(psi, self.grid))
+
     # -- momentum step -------------------------------------------------------
 
-    def project(self, u_star: VectorField):
-        """Leray projection by one pressure-Poisson solve; returns (u, pi)."""
+    def project(self, u_star: VectorField) -> VectorField:
+        """Leray projection by one pressure-Poisson solve."""
         dt = self.scheme.dt
         b = divergence_face_to_cc(u_star).values / dt
         pi, _ = self._poisson.solve(b, atol=self._pressure_atol(b))
         gpi = gradient_cc_to_face(ScalarField(self.grid, pi))
         u = VectorField(self.grid, u_star.ux - dt * gpi.ux, u_star.uy - dt * gpi.uy)
         u.enforce_noslip_normal()
-        return u, ScalarField(self.grid, pi)
+        return u
+
+    def advance_velocity(self, u: VectorField, rhs: VectorField) -> VectorField:
+        """Explicit update u + dt rhs, shared by all three sweeps.
+
+        Zeroes the no-slip normal faces of the predictor, then projects it.
+        """
+        u_star = u + self.scheme.dt * rhs
+        u_star.enforce_noslip_normal()
+        return self.project(u_star)
 
     def momentum_rhs(self, u: VectorField, phi_new: ScalarField,
                      mu_new: ScalarField, v: VectorField) -> VectorField:
@@ -211,12 +225,9 @@ class ForwardSolver:
 
     def step_ns(self, u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                 v: VectorField):
-        """Explicit predictor plus projection; returns (u_new, pi_new)."""
+        """Explicit predictor plus projection; returns u_new."""
         self.check_cfl(u)
-        rhs = self.momentum_rhs(u, phi_new, mu_new, v)
-        u_star = u + self.scheme.dt * rhs
-        u_star.enforce_noslip_normal()
-        return self.project(u_star)
+        return self.advance_velocity(u, self.momentum_rhs(u, phi_new, mu_new, v))
 
     # -- full run -------------------------------------------------------------
 
@@ -231,17 +242,16 @@ class ForwardSolver:
         mu = chemical_potential(phi, self.kernel, self.potential)
         traj = StateTrajectory(
             self.grid, scheme, scheme.dt * np.arange(scheme.nt + 1),
-            u=[u], phi=[phi], mu=[mu], pi=[ScalarField.zeros(self.grid)])
+            u=[u], phi=[phi], mu=[mu])
         for k in range(scheme.nt):
             try:
                 phi_new, mu_new = self.step_ch(traj.phi[k], traj.u[k])
-                u_new, pi_new = self.step_ns(traj.u[k], phi_new, mu_new, v_traj[k])
+                u_new = self.step_ns(traj.u[k], phi_new, mu_new, v_traj[k])
             except (CFLViolationError, SolverConvergenceError) as exc:
                 raise StepFailureError(str(exc), step=k) from exc
             traj.phi.append(phi_new)
             traj.mu.append(mu_new)
             traj.u.append(u_new)
-            traj.pi.append(pi_new)
         return traj
 
 

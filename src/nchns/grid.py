@@ -271,30 +271,22 @@ def laplacian_neumann_array(v: np.ndarray, grid: Grid2D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # interpolation between staggered locations
 
-def scalar_to_xfaces(phi: ScalarField, boundary: str = "edge") -> np.ndarray:
+def scalar_to_xfaces(phi: ScalarField) -> np.ndarray:
     """Average a cell scalar to x-faces; boundary faces copy the edge cell."""
     v = phi.values
     out = np.empty((phi.grid.nx + 1, phi.grid.ny))
     out[1:-1, :] = 0.5 * (v[1:, :] + v[:-1, :])
-    if boundary == "edge":
-        out[0, :] = v[0, :]
-        out[-1, :] = v[-1, :]
-    else:
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
+    out[0, :] = v[0, :]
+    out[-1, :] = v[-1, :]
     return out
 
 
-def scalar_to_yfaces(phi: ScalarField, boundary: str = "edge") -> np.ndarray:
+def scalar_to_yfaces(phi: ScalarField) -> np.ndarray:
     v = phi.values
     out = np.empty((phi.grid.nx, phi.grid.ny + 1))
     out[:, 1:-1] = 0.5 * (v[:, 1:] + v[:, :-1])
-    if boundary == "edge":
-        out[:, 0] = v[:, 0]
-        out[:, -1] = v[:, -1]
-    else:
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
+    out[:, 0] = v[:, 0]
+    out[:, -1] = v[:, -1]
     return out
 
 

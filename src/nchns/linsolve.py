@@ -70,7 +70,9 @@ class _NeumannSpectralInverse:
 def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
     """Preconditioned CG from x = 0, stopping when max|r| <= atol.
 
-    ``b`` is left unchanged.  The loop updates x, r and p in place and keeps
+    A residual that is not finite (a NaN or inf in ``b`` or the operator)
+    fails at once instead of running to ``maxiter``.  ``b`` is left
+    unchanged.  The loop updates x, r and p in place and keeps
     one scratch buffer for alpha p and |r|, so an iteration allocates only
     the arrays ``apply_op`` and ``precond`` return; those must be fresh
     arrays, because the mean projection and the alpha scaling act on them
@@ -103,6 +105,9 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
         res = float(np.abs(r, out=buf).max())
         if res <= atol:
             return x, SolveInfo(it, res)
+        if not np.isfinite(res):
+            raise SolverConvergenceError(f"CG residual is not finite ({res})",
+                                         residual=res, iterations=it)
         z = vol_mean(precond(r))
         rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
@@ -116,7 +121,7 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
 class NeumannPoissonSolver:
     """Solves Lap_N p = b for mean-zero b, returning the mean-zero solution."""
 
-    def __init__(self, grid: Grid2D, maxiter: int = 2000):
+    def __init__(self, grid: Grid2D, maxiter: int = 4000):
         self.grid = grid
         self.maxiter = maxiter
         self._pc = _NeumannSpectralInverse(grid, alpha=0.0, dt=1.0)
@@ -137,7 +142,7 @@ class NeumannPoissonSolver:
 class HelmholtzNeumannSolver:
     """Solves u / c(x) - dt Lap_N u = b with cellwise c > 0 (SPD system)."""
 
-    def __init__(self, grid: Grid2D, c: np.ndarray, dt: float, maxiter: int = 2000):
+    def __init__(self, grid: Grid2D, c: np.ndarray, dt: float, maxiter: int = 4000):
         c = np.asarray(c, dtype=np.float64)
         if np.any(c <= 0.0):
             raise ValueError("Helmholtz coefficient must be positive everywhere")

@@ -152,7 +152,6 @@ def complementarity_violation(v, g, bounds: ControlBounds) -> float:
 class OptimizerState:
     v: list
     cost_history: list = field(default_factory=list)
-    grad_norm_history: list = field(default_factory=list)
     kkt_history: list = field(default_factory=list)
     tau_history: list = field(default_factory=list)
     shrink_history: list = field(default_factory=list)
@@ -160,7 +159,6 @@ class OptimizerState:
     status: str = "running"
     iterations: int = 0
     trajectory: StateTrajectory = None
-    adjoint: AdjointTrajectory = None
 
 
 def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
@@ -194,9 +192,8 @@ def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
         g = reduced_gradient(v, adj, gamma)
         kkt = kkt_residual(v, g, problem.bounds, dt)
         state.cost_history.append(J)
-        state.grad_norm_history.append(control_norm(g, dt))
         state.kkt_history.append(kkt)
-        state.trajectory, state.adjoint = traj, adj
+        state.trajectory = traj
         if tol is None:
             tol = 1e-5 * kkt
         if callback is not None:

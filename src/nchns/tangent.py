@@ -7,10 +7,12 @@ h -> (du, dphi) the honest Jacobian action of the discrete solver (up to
 linear-solve residuals), which is what the quadratic-remainder checks rely
 on.
 
-The flux condition on the linearized chemical potential is inherited
-structurally: the implicit solve acts on the assembled combination
+The phase and velocity updates go through the forward solver's own
+``solve_phase`` and ``advance_velocity``: the implicit solve acts on the
+assembled combination
 a*dphi - K*dphi_old + F''(phi_old) dphi_old + s_stab (dphi - dphi_old)
-through the same mirror-ghost Laplacian as the forward step.
+with the forward step's operator and flux-form rebuild, so the cell sum of
+dphi stays zero to round-off, and du is projected exactly like u.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .linsolve import SolverConvergenceError
 
 @dataclass
 class TangentTrajectory:
-    """Per-step directional derivatives (du_k, dphi_k) and their pressure."""
+    """Per-step directional derivatives (du_k, dphi_k)."""
 
     grid: Grid2D
     times: np.ndarray
     du: list
     dphi: list
-    dpi: list
 
     @property
     def nt(self) -> int:
@@ -58,7 +59,7 @@ class TangentSolver:
     def step(self, state_phi: ScalarField, state_u: VectorField,
              state_phi_new: ScalarField, state_mu_new: ScalarField,
              du: VectorField, dphi: ScalarField, h: VectorField):
-        """One linearized step; returns (du_new, dphi_new, dpi_new)."""
+        """One linearized step; returns (du_new, dphi_new)."""
         fwd = self.fwd
         dt = fwd.scheme.dt
         grid = fwd.grid
@@ -71,8 +72,7 @@ class TangentSolver:
               - dt * (advect_scalar(state_u, dphi).values
                       + advect_scalar(du, state_phi).values)
               + dt * laplacian_neumann_array(dg, grid))
-        dpsi, _ = fwd._helmholtz.solve(db, atol=fwd._atol(db))
-        dphi_new = ScalarField(grid, db + dt * laplacian_neumann_array(dpsi, grid))
+        dphi_new = fwd.solve_phase(db)
         dmu_new = self.linearized_mu(state_phi_new, dphi_new)
 
         # momentum half: derivative of predictor + (linear) projection
@@ -85,10 +85,7 @@ class TangentSolver:
                 + kelvin_force(dmu_new, state_phi_new)
                 + kelvin_force(state_mu_new, dphi_new)
                 + h)
-        du_star = du + dt * drhs
-        du_star.enforce_noslip_normal()
-        du_new, dpi_new = fwd.project(du_star)
-        return du_new, dphi_new, dpi_new
+        return fwd.advance_velocity(du, drhs), dphi_new
 
     def run(self, traj: StateTrajectory, h_traj) -> TangentTrajectory:
         """Integrate the linearized system from zero initial data."""
@@ -101,18 +98,16 @@ class TangentSolver:
         tan = TangentTrajectory(
             fwd.grid, traj.times.copy(),
             du=[VectorField.zeros(fwd.grid)],
-            dphi=[ScalarField.zeros(fwd.grid)],
-            dpi=[ScalarField.zeros(fwd.grid)])
+            dphi=[ScalarField.zeros(fwd.grid)])
         for k in range(nt):
             try:
-                du_new, dphi_new, dpi_new = self.step(
+                du_new, dphi_new = self.step(
                     traj.phi[k], traj.u[k], traj.phi[k + 1], traj.mu[k + 1],
                     tan.du[k], tan.dphi[k], h_traj[k])
             except SolverConvergenceError as exc:
                 raise StepFailureError(str(exc), step=k) from exc
             tan.du.append(du_new)
             tan.dphi.append(dphi_new)
-            tan.dpi.append(dpi_new)
         return tan
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from nchns import (ControlProblem, CostWeights, InitialData, ScalarField,
-                   Targets, VectorField, control_inner,
-                   directional_derivative_via_tangent, divergence_face_to_cc,
-                   norm_l2, reduced_gradient, run_adjoint, run_tangent,
-                   zero_control)
+from nchns import (CFLViolationError, ControlProblem, CostWeights, DoubleWell,
+                   ForwardSolver, Grid2D, InitialData, ScalarField,
+                   StepFailureError, Targets, TimeScheme, VectorField,
+                   Viscosity, control_inner, directional_derivative_via_tangent,
+                   divergence_face_to_cc, make_kernel, norm_l2,
+                   reduced_gradient, run_adjoint, run_tangent, zero_control)
 from nchns.presets import (constant_control, random_solenoidal, scalar_preset,
                            vector_preset)
 
@@ -102,3 +103,28 @@ def test_adjoint_requires_matching_trajectory():
     bad = Targets.resting(solver.grid, 7)
     with pytest.raises(ValueError):
         run_adjoint(solver, traj, bad, CostWeights(b1=1.0))
+
+
+def test_coercivity_loss_names_the_step():
+    # an unscaled kernel leaves a + F''(phi) <= 0 on the bubble's interior
+    grid = Grid2D(16, 16)
+    kern = make_kernel(grid, "gaussian", width=0.15, amplitude=0.1)
+    nt = 3
+    solver = ForwardSolver(grid, kern, DoubleWell(), Viscosity(),
+                           TimeScheme(dt=5e-5, nt=nt))
+    init = InitialData(vector_preset(grid, "taylor-vortex(0.05)"),
+                       scalar_preset(grid, "bubble(0.3, 0.5, 0.5, 0.08)"))
+    traj = solver.run(zero_control(grid, nt), init)
+    with pytest.raises(StepFailureError) as err:
+        run_adjoint(solver, traj, Targets.resting(grid, nt), CostWeights(b1=1.0))
+    assert err.value.step == nt - 1
+    assert "coercivity" in str(err.value)
+
+
+def test_adjoint_cfl_violation_names_the_step():
+    solver, init, traj, targets = tracking_setup(nt=6)
+    traj.u[4] = 1e4 * traj.u[4]
+    with pytest.raises(StepFailureError) as err:
+        run_adjoint(solver, traj, targets, CostWeights(b1=1.0))
+    assert err.value.step == 4
+    assert isinstance(err.value.__cause__, CFLViolationError)

@@ -30,6 +30,15 @@ def default_setup(n=32, dt=5e-5, nt=20, seed=3, lx=1.0):
     return solver, init
 
 
+def loose_solves(solver, monkeypatch):
+    """Stop the implicit solves at 1e-6 relative residual.
+
+    At the solver's own 1e-13 a rebuild that did not conserve mass would
+    still lose only about 1e-15 of it, too little for a test to see.
+    """
+    monkeypatch.setattr(solver, "_atol", lambda b: 1e-6 * float(np.max(np.abs(b))))
+
+
 def test_uniform_state_is_steady():
     grid = Grid2D(16, 16)
     kern = make_kernel(grid, "delta")
@@ -196,3 +205,11 @@ def test_diagnostics_rows():
         assert row["kinetic_energy"] <= 1e-20
         assert row["max_div"] <= solver.scheme.tol_p
         assert row["min_phi"] == pytest.approx(0.2, abs=1e-10)
+
+
+def test_solve_phase_keeps_cell_sum(rng, monkeypatch):
+    solver, _ = default_setup(nt=1)
+    loose_solves(solver, monkeypatch)
+    b = rng.standard_normal((32, 32)) + 0.3
+    phi = solver.solve_phase(b)
+    assert abs(np.sum(phi.values) - np.sum(b)) <= 1e-12 * np.sum(np.abs(b))

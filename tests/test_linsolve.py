@@ -70,3 +70,14 @@ def test_solves_leave_rhs_unchanged(rng):
         _, info = solver.solve(b, atol=1e-12)
         assert info.iterations >= 1
         assert np.array_equal(b, kept)
+
+
+def test_non_finite_rhs_fails_fast(rng):
+    grid = Grid2D(32, 32, 1.0, 1.0)
+    c = 1.0 + 0.5 * rng.random((32, 32))
+    b = rng.standard_normal((32, 32))
+    b[7, 11] = np.nan
+    for solver in (HelmholtzNeumannSolver(grid, c, 1e-3), NeumannPoissonSolver(grid)):
+        with pytest.raises(SolverConvergenceError) as err:
+            solver.solve(b, atol=1e-12)
+        assert err.value.iterations <= 1
