@@ -226,7 +226,6 @@ class ForwardSolver:
     def step_ns(self, u: VectorField, phi_new: ScalarField, mu_new: ScalarField,
                 v: VectorField):
         """Explicit predictor plus projection; returns u_new."""
-        self.check_cfl(u)
         return self.advance_velocity(u, self.momentum_rhs(u, phi_new, mu_new, v))
 
     # -- full run -------------------------------------------------------------
@@ -245,6 +244,8 @@ class ForwardSolver:
             u=[u], phi=[phi], mu=[mu])
         for k in range(scheme.nt):
             try:
+                # before the implicit phase solve, so a too-large dt fails fast
+                self.check_cfl(traj.u[k])
                 phi_new, mu_new = self.step_ch(traj.phi[k], traj.u[k])
                 u_new = self.step_ns(traj.u[k], phi_new, mu_new, v_traj[k])
             except (CFLViolationError, SolverConvergenceError) as exc:

@@ -117,6 +117,22 @@ def test_cfl_violation_reports_suggested_dt():
     assert err.value.__cause__.suggested_dt < 1e-2
 
 
+def test_cfl_violation_fails_before_any_phase_solve(monkeypatch):
+    grid = Grid2D(16, 16)
+    kern = make_kernel(grid, "gaussian", width=0.2, auto_scale_target=1.1)
+    solver = ForwardSolver(grid, kern, DoubleWell(), Viscosity(),
+                           TimeScheme(dt=1e-2, nt=3))
+    calls = []
+    solve = solver._helmholtz.solve
+    monkeypatch.setattr(solver._helmholtz, "solve",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    init = InitialData(VectorField.zeros(grid), ScalarField.full(grid, 0.1))
+    with pytest.raises(StepFailureError) as err:
+        solver.run(zero_control(grid, 3), init)
+    assert err.value.step == 0
+    assert calls == []
+
+
 def test_initial_data_validation():
     grid = Grid2D(16, 16)
     u0 = VectorField.zeros(grid)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nchns import Grid2D
+from nchns import Grid2D, Viscosity
 from nchns.grid import laplacian_neumann_array
 from nchns.linsolve import (HelmholtzNeumannSolver, NeumannPoissonSolver,
                             SolverConvergenceError)
@@ -43,6 +43,33 @@ def test_helmholtz_variable_coefficient(rng):
     x, info = solver.solve(b, atol=1e-13)
     res = b - (x / c - dt * laplacian_neumann_array(x, grid))
     assert np.max(np.abs(res)) <= 1e-13
+
+
+def test_helmholtz_diagonal_matches_operator(rng):
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    c = 0.5 + rng.random((24, 40))
+    dt = 1e-3
+    solver = HelmholtzNeumannSolver(grid, c, dt)
+    for cell in ((0, 0), (0, 17), (23, 5), (11, 39), (12, 20)):
+        e = np.zeros((24, 40))
+        e[cell] = 1.0
+        a_ii = (e / c - dt * laplacian_neumann_array(e, grid))[cell]
+        assert solver.diag[cell] == pytest.approx(a_ii, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_helmholtz_iterations_flat_at_cfl_dt(n, rng):
+    # the adjoint's coefficient a + F''(phi) spans about 0.1-3.1; at the
+    # viscous CFL step the diagonal preconditioner keeps CG grid-independent
+    grid = Grid2D(n, n, 1.0, 1.0)
+    dt = grid.dx ** 2 / (8.0 * Viscosity().nu_max)
+    c = 0.1 + 3.0 * rng.random((n, n))
+    b = rng.standard_normal((n, n))
+    atol = 1e-13 * np.max(np.abs(b))
+    x, info = HelmholtzNeumannSolver(grid, c, dt).solve(b, atol=atol)
+    assert info.iterations <= 25
+    res = b - (x / c - dt * laplacian_neumann_array(x, grid))
+    assert np.max(np.abs(res)) <= atol
 
 
 def test_helmholtz_rejects_nonpositive_coefficient():
