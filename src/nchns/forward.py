@@ -153,12 +153,10 @@ class ForwardSolver:
     # -- tolerances ---------------------------------------------------------
 
     def _atol(self, b: np.ndarray) -> float:
-        # purely relative (1e-13): keeps the solve maps scale-equivariant, which
-        # the linearity/superposition guarantees of the tangent solver rely on
+        # the phase CG stops at a purely relative 1e-13: keeps the iterative
+        # solve map scale-equivariant, which the linearity/superposition
+        # guarantees of the tangent solver rely on
         return 1e-13 * float(np.max(np.abs(b)))
-
-    def _pressure_atol(self, b: np.ndarray) -> float:
-        return min(self.scheme.tol_p / self.scheme.dt, self._atol(b))
 
     def check_cfl(self, u: VectorField):
         dt, g = self.scheme.dt, self.grid
@@ -198,12 +196,16 @@ class ForwardSolver:
     # -- momentum step -------------------------------------------------------
 
     def project(self, u_star: VectorField) -> VectorField:
-        """Leray projection by one pressure-Poisson solve."""
-        dt = self.scheme.dt
-        b = divergence_face_to_cc(u_star).values / dt
-        pi, _ = self._poisson.solve(b, atol=self._pressure_atol(b))
-        gpi = gradient_cc_to_face(ScalarField(self.grid, pi))
-        u = VectorField(self.grid, u_star.ux - dt * gpi.ux, u_star.uy - dt * gpi.uy)
+        """Leray projection by one direct pressure-Poisson solve.
+
+        Solves Lap_N q = div u* for q = dt pi and sets u = u* - grad q.  The
+        solve's residual is the divergence left in u, so its post-condition
+        max|r| <= tol_p is the divergence gate.
+        """
+        b = divergence_face_to_cc(u_star).values
+        q, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
+        gq = gradient_cc_to_face(ScalarField(self.grid, q))
+        u = VectorField(self.grid, u_star.ux - gq.ux, u_star.uy - gq.uy)
         u.enforce_noslip_normal()
         return u
 

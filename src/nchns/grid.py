@@ -13,7 +13,7 @@ x-faces, the y component ``(nx, ny+1)`` on y-faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,16 +192,12 @@ class VectorField:
 
 @dataclass
 class TensorField:
-    """Cell-centered 2x2 tensor with symmetric storage (xy is yx)."""
+    """Cell-centered symmetric 2x2 tensor; xy holds both off-diagonals."""
 
     grid: Grid2D
     xx: np.ndarray
     xy: np.ndarray
     yy: np.ndarray
-    yx: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.yx = self.xy
 
 
 # ---------------------------------------------------------------------------

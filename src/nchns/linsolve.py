@@ -1,4 +1,4 @@
-"""Conjugate-gradient solvers for the two Neumann problems in the scheme.
+"""Solvers for the two Neumann problems in the scheme.
 
 Both operators are built from the mirror-ghost Neumann Laplacian Lap_N:
 
@@ -7,18 +7,21 @@ Both operators are built from the mirror-ghost Neumann Laplacian Lap_N:
 * the singular pressure Poisson problem Lap_N p = b, whose constant null
   space is projected out.
 
-The Poisson CG is preconditioned with the exact pseudo-inverse of -Lap_N,
-applied in the DCT-II basis that diagonalizes it, so it takes one iteration.
+The Poisson problem is solved directly: on the uniform grid the DCT-II
+basis diagonalizes Lap_N exactly, so one forward transform, a division by
+the eigenvalues and one inverse transform give the mean-zero solution.
+The residual is then checked against the requested tolerance.
 
-The Helmholtz CG is preconditioned with the inverse of the operator's own
-diagonal, d = 1/c + dt (nfx/dx^2 + nfy/dy^2), where nfx, nfy count the
-cell's interior faces along each axis.  Every sweep holds dt to the viscous
-CFL bound dt <= h^2 / (8 nu_max), so the diffusive part of d is at most
-s = 1 / (2 nu_max) on every grid.  Gershgorin then bounds the condition
-number of D^-1 A by (1 + rho) / (1 - rho), rho = max s / (1/c + s) < 1.
-The bound depends on max c and nu_max only, not on the grid or on how far
-min c lies below max c (the adjoint's a + F''(phi) spans more than an
-order of magnitude), so the iteration count stays flat under refinement.
+Only the Helmholtz solve runs conjugate gradients, preconditioned with the
+inverse of the operator's own diagonal, d = 1/c + dt (nfx/dx^2 + nfy/dy^2),
+where nfx, nfy count the cell's interior faces along each axis.  Every
+sweep holds dt to the viscous CFL bound dt <= h^2 / (8 nu_max), so the
+diffusive part of d is at most s = 1 / (2 nu_max) on every grid.
+Gershgorin then bounds the condition number of D^-1 A by
+(1 + rho) / (1 - rho), rho = max s / (1/c + s) < 1.  The bound depends on
+max c and nu_max only, not on the grid or on how far min c lies below
+max c (the adjoint's a + F''(phi) spans more than an order of magnitude),
+so the iteration count stays flat under refinement.
 """
 
 from __future__ import annotations
@@ -51,31 +54,14 @@ def fft_workers() -> int:
 
 @dataclass
 class SolveInfo:
+    """``iterations`` counts applications of the solver's inverse: the CG
+    iterations for Helmholtz, 0 or 1 for the direct Poisson solve."""
+
     iterations: int
     residual: float
 
 
-class _NeumannSpectralInverse:
-    """Pseudo-inverse of -Lap_N on mean-zero fields, via DCT-II."""
-
-    def __init__(self, grid: Grid2D):
-        kx = np.arange(grid.nx)
-        ky = np.arange(grid.ny)
-        lam_x = (2.0 * np.cos(np.pi * kx / grid.nx) - 2.0) / grid.dx ** 2
-        lam_y = (2.0 * np.cos(np.pi * ky / grid.ny) - 2.0) / grid.dy ** 2
-        sym = -(lam_x[:, None] + lam_y[None, :])
-        sym[0, 0] = 1.0
-        self._inv = 1.0 / sym
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        w = fft_workers()
-        rhat = sfft.dctn(r, type=2, norm="ortho", workers=w)
-        rhat *= self._inv
-        rhat[0, 0] = 0.0
-        return sfft.idctn(rhat, type=2, norm="ortho", overwrite_x=True, workers=w)
-
-
-def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
+def _cg(apply_op, b, precond, atol, maxiter):
     """Preconditioned CG from x = 0, stopping when max|r| <= atol.
 
     A residual that is not finite (a NaN or inf in ``b`` or the operator)
@@ -83,24 +69,18 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
     unchanged.  The loop updates x, r and p in place and keeps
     one scratch buffer for alpha p and |r|, so an iteration allocates only
     the arrays ``apply_op`` and ``precond`` return; those must be fresh
-    arrays, because the mean projection and the alpha scaling act on them
-    in place.
+    arrays, because the loop scales them in place.
     """
-    def vol_mean(a):
-        if project_mean:
-            a -= a.mean()
-        return a
-
     x = np.zeros_like(b)
-    r = b - b.mean() if project_mean else b.copy()
+    r = b.copy()
     buf = np.empty_like(b)
     res = float(np.abs(r, out=buf).max())
     if res <= atol:
         return x, SolveInfo(0, res)
-    p = vol_mean(precond(r))
+    p = precond(r)
     rz = float(np.vdot(r, p))
     for it in range(1, maxiter + 1):
-        ap = vol_mean(apply_op(p))
+        ap = apply_op(p)
         denom = float(np.vdot(p, ap))
         if denom <= 0.0:
             raise SolverConvergenceError(
@@ -116,7 +96,7 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
         if not np.isfinite(res):
             raise SolverConvergenceError(f"CG residual is not finite ({res})",
                                          residual=res, iterations=it)
-        z = vol_mean(precond(r))
+        z = precond(r)
         rz_new = float(np.vdot(r, z))
         p *= rz_new / rz
         p += z
@@ -127,24 +107,38 @@ def _cg(apply_op, b, precond, atol, maxiter, project_mean=False):
 
 
 class NeumannPoissonSolver:
-    """Solves Lap_N p = b for mean-zero b, returning the mean-zero solution."""
+    """Solves Lap_N p = b - mean(b) by DCT-II; p has zero mean.
 
-    def __init__(self, grid: Grid2D, maxiter: int = 4000):
+    The solve is linear in ``b``.  ``atol`` is a post-condition on the
+    residual, not a stopping test: a residual above it, or one that is not
+    finite, raises ``SolverConvergenceError``.
+    """
+
+    def __init__(self, grid: Grid2D):
         self.grid = grid
-        self.maxiter = maxiter
-        self._pc = _NeumannSpectralInverse(grid)
+        kx = np.arange(grid.nx)
+        ky = np.arange(grid.ny)
+        lam_x = (2.0 * np.cos(np.pi * kx / grid.nx) - 2.0) / grid.dx ** 2
+        lam_y = (2.0 * np.cos(np.pi * ky / grid.ny) - 2.0) / grid.dy ** 2
+        lam = lam_x[:, None] + lam_y[None, :]
+        lam[0, 0] = 1.0
+        self._inv_lam = 1.0 / lam
+        self._inv_lam[0, 0] = 0.0
 
     def solve(self, b: np.ndarray, atol: float):
-        grid = self.grid
-        # work with the SPD operator -Lap on the mean-zero subspace
-        rhs = -(b - b.mean())
-
-        def apply_op(v):
-            return -laplacian_neumann_array(v, grid)
-
-        x, info = _cg(apply_op, rhs, self._pc.apply, atol=atol,
-                      maxiter=self.maxiter, project_mean=True)
-        return x, info
+        rhs = b - b.mean()
+        if not rhs.any():
+            return np.zeros_like(rhs), SolveInfo(0, 0.0)
+        w = fft_workers()
+        rhat = sfft.dctn(rhs, type=2, norm="ortho", workers=w)
+        rhat *= self._inv_lam
+        x = sfft.idctn(rhat, type=2, norm="ortho", overwrite_x=True, workers=w)
+        res = float(np.max(np.abs(rhs - laplacian_neumann_array(x, self.grid))))
+        if not res <= atol:
+            raise SolverConvergenceError(
+                f"direct Poisson solve missed residual {atol:.3e} (got {res:.3e})",
+                residual=res, iterations=1)
+        return x, SolveInfo(1, res)
 
 
 def _interior_faces(n: int) -> np.ndarray:

@@ -28,7 +28,8 @@ from .tangent import TangentTrajectory, run_tangent
 # space-time inner products for control trajectories
 
 def control_inner(v, h, dt: float) -> float:
-    return dt * sum(inner_product_l2(vk, hk) for vk, hk in zip(v, h))
+    return dt * sum(inner_product_l2(vk, hk)
+                    for vk, hk in zip(v, h, strict=True))
 
 
 def control_norm(v, dt: float) -> float:
@@ -37,7 +38,7 @@ def control_norm(v, dt: float) -> float:
 
 def control_axpy(alpha: float, x, y):
     """y + alpha * x, elementwise over the trajectory."""
-    return [yk + alpha * xk for xk, yk in zip(x, y)]
+    return [yk + alpha * xk for xk, yk in zip(x, y, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def reduced_gradient(v, adj: AdjointTrajectory, gamma: float):
 def project_box(w, bounds: ControlBounds):
     """Componentwise clip of each step's faces into [lower, upper]."""
     out = []
-    for wk, lo, hi in zip(w, bounds.lower, bounds.upper):
+    for wk, lo, hi in zip(w, bounds.lower, bounds.upper, strict=True):
         ux = np.minimum(np.maximum(wk.ux, lo.ux), hi.ux)
         uy = np.minimum(np.maximum(wk.uy, lo.uy), hi.uy)
         out.append(VectorField(wk.grid, ux, uy))
@@ -118,7 +119,7 @@ def project_box(w, bounds: ControlBounds):
 def kkt_residual(v, g, bounds: ControlBounds, dt: float) -> float:
     """|| v - P(v - g) ||_{L2(Q)}: zero iff v is a projected-gradient fixed point."""
     probe = project_box(control_axpy(-1.0, g, v), bounds)
-    diff = [vk - pk for vk, pk in zip(v, probe)]
+    diff = [vk - pk for vk, pk in zip(v, probe, strict=True)]
     return control_norm(diff, dt)
 
 
@@ -130,7 +131,7 @@ def complementarity_violation(v, g, bounds: ControlBounds) -> float:
     Returns the max over all faces and steps of the respective defect.
     """
     worst = 0.0
-    for vk, gk, lo, hi in zip(v, g, bounds.lower, bounds.upper):
+    for vk, gk, lo, hi in zip(v, g, bounds.lower, bounds.upper, strict=True):
         for vc, gc, lc, hc in ((vk.ux, gk.ux, lo.ux, hi.ux),
                                (vk.uy, gk.uy, lo.uy, hi.uy)):
             at_lo = vc <= lc
@@ -208,7 +209,7 @@ def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
         accepted = False
         while shrinks <= max_shrinks:
             w = project_box(control_axpy(-tau, g, v), problem.bounds)
-            step = [vk - wk for vk, wk in zip(v, w)]
+            step = [vk - wk for vk, wk in zip(v, w, strict=True)]
             step_sq = control_inner(step, step, dt)
             if step_sq == 0.0:
                 # projected step is null: stationary within the bounds

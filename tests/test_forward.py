@@ -64,6 +64,32 @@ def test_mass_conservation_and_divergence():
         assert traj.u[k].uy[:, 0].max() == 0.0 and traj.u[k].uy[:, -1].max() == 0.0
 
 
+def _noisy_velocity(grid, rng, amplitude):
+    u = VectorField(grid, amplitude * rng.standard_normal((grid.nx + 1, grid.ny)),
+                    amplitude * rng.standard_normal((grid.nx, grid.ny + 1)))
+    u.enforce_noslip_normal()
+    return u
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 100.0])
+def test_project_is_a_linear_projection(amplitude, rng):
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                           Viscosity(), TimeScheme(dt=1e-5, nt=1))
+    u = _noisy_velocity(grid, rng, amplitude)
+    w = _noisy_velocity(grid, rng, amplitude)
+    pu, pw = solver.project(u), solver.project(w)
+    assert np.max(np.abs(divergence_face_to_cc(pu).values)) <= solver.scheme.tol_p
+
+    def max_abs(f):
+        return max(np.max(np.abs(f.ux)), np.max(np.abs(f.uy)))
+
+    assert max_abs(solver.project(pu) - pu) <= 1e-12 * max_abs(pu)
+    a = -2.5
+    combo = solver.project(a * u + w)
+    assert max_abs(combo - (a * pu + pw)) <= 1e-12 * max_abs(combo)
+
+
 def test_energy_non_increasing():
     solver, init = default_setup(nt=200)
     traj = solver.run(zero_control(solver.grid, 200), init)

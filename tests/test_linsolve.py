@@ -34,6 +34,19 @@ def test_poisson_zero_rhs_returns_zero():
     assert info.iterations == 0
 
 
+def test_poisson_is_linear_below_atol(rng):
+    # a right-hand side already inside atol is still solved, so the
+    # projection stays linear on small divergences
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    b = rng.standard_normal((24, 40))
+    solver = NeumannPoissonSolver(grid)
+    x, _ = solver.solve(b, atol=1e-10)
+    scale = 2.0 ** -40
+    x_small, info = solver.solve(scale * b, atol=1e-10)
+    assert info.iterations == 1
+    assert np.max(np.abs(x_small - scale * x)) <= 1e-14 * scale * np.max(np.abs(x))
+
+
 def test_helmholtz_variable_coefficient(rng):
     grid = Grid2D(32, 32, 1.0, 1.0)
     c = 1.5 + 0.8 * rng.random((32, 32))
@@ -108,3 +121,11 @@ def test_non_finite_rhs_fails_fast(rng):
         with pytest.raises(SolverConvergenceError) as err:
             solver.solve(b, atol=1e-12)
         assert err.value.iterations <= 1
+
+
+def test_poisson_unreachable_atol_raises_after_one_solve(rng):
+    # the direct solve checks its residual once; it never iterates
+    grid = Grid2D(16, 16)
+    with pytest.raises(SolverConvergenceError) as err:
+        NeumannPoissonSolver(grid).solve(rng.standard_normal((16, 16)), atol=1e-30)
+    assert err.value.iterations == 1

@@ -269,6 +269,14 @@ def test_pgd_requires_bounds():
         projected_gradient_descent(problem, h, max_iter=1)
 
 
+def test_pgd_rejects_control_of_wrong_length():
+    # a longer control must not be cut to the bounds' nt steps
+    problem, traj, h = small_problem()
+    v0 = zero_control(problem.forward.grid, len(h) + 1)
+    with pytest.raises(ValueError):
+        projected_gradient_descent(problem, v0, max_iter=1)
+
+
 # ---------------------------------------------------------------------------
 # Taylor verification
 
