@@ -7,15 +7,19 @@ forward-parabolic, so one backward step applies
 * an explicit viscous/transport update of the adjoint velocity through the
   forward solver's ``advance_velocity`` (no-slip faces, then the same
   pressure projection), then
-* a semi-implicit update of the adjoint phase in which the stiff part
-  (a + F''(phi)) Lap q is implicit (coercive under the validated hypothesis
-  a + F'' >= c1 > 0) and the bounded nonlocal term grad K .* grad q, the
-  transport and all velocity couplings are explicit.
+* a semi-implicit update of the adjoint phase.  Its stiff part
+  c~ Lap q, c~ = a + F''(phi) (coercive under the validated hypothesis
+  a + F'' >= c1 > 0), is split as c_n Lap q_n + (c~ - c_n) Lap q_{n+1}
+  with the constant c_n = max c~, so the implicit operator is one DCT-II
+  solve.  With frozen coefficients each cosine mode is multiplied by
+  (1 + dt (c_n - c~) lam) / (1 + dt c_n lam), which lies in (0, 1] for
+  every eigenvalue lam >= 0 of -Lap_N.  The bounded nonlocal term
+  grad K .* grad q, the transport and all velocity couplings are explicit.
 
 Step n consumes the state snapshot at level n and the adjoint at level n+1;
 terminal values are seeded from the terminal tracking residuals.  A CFL
-violation, a CG failure or a loss of coercivity raises ``StepFailureError``
-naming the step.
+violation, a failed solve or a loss of coercivity raises
+``StepFailureError`` naming the step.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .forward import (CFLViolationError, ForwardSolver, StateTrajectory,
                       StepFailureError, kelvin_force)
 from .grid import (Grid2D, ScalarField, VectorField, advect_vector,
                    cc_components_to_faces, div_viscous_stress,
-                   full_gradient_cc, gradient_cc_to_face, sym_gradient,
-                   vector_to_cc)
+                   full_gradient_cc, gradient_cc_to_face,
+                   laplacian_neumann_array, sym_gradient, vector_to_cc)
 from .kernels import convolve, grad_dot_convolve
 from .linsolve import HelmholtzNeumannSolver, SolverConvergenceError
 from .problem import CostWeights, Targets
@@ -103,7 +107,8 @@ class AdjointSolver:
             rhs = rhs + weights.b1 * (state_u - u_target)
         au = fwd.advance_velocity(au_next, rhs)
 
-        # adjoint phase: stiff diffusion implicit, couplings explicit
+        # adjoint phase: constant part of the stiff diffusion implicit;
+        # its variable remainder and all couplings explicit
         gphi = gradient_cc_to_face(state_phi)
         w = ScalarField(grid, face_dot_to_cc(au, gphi))
         nonlocal_coupling = (fwd.kernel.mass_field.values * w.values
@@ -127,8 +132,10 @@ class AdjointSolver:
             raise StepFailureError(
                 "adjoint diffusion coefficient a + F''(phi) is not positive; "
                 "the coercivity hypothesis fails on this state")
-        rhs_phase = (aphi_next.values + dt * explicit) / c_tilde
-        solver = HelmholtzNeumannSolver(grid, c_tilde, dt)
+        c_bar = float(c_tilde.max())
+        explicit += (c_tilde - c_bar) * laplacian_neumann_array(aphi_next.values, grid)
+        rhs_phase = (aphi_next.values + dt * explicit) / c_bar
+        solver = HelmholtzNeumannSolver(grid, c_bar, dt)
         aphi_vals, _ = solver.solve(rhs_phase, atol=fwd._atol(rhs_phase))
         return au, ScalarField(grid, aphi_vals)
 

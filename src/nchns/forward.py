@@ -5,14 +5,18 @@ mass-conservative update of the convective nonlocal Cahn-Hilliard equation,
 then the velocity with an explicit predictor (viscous stress, advection,
 capillary force, control) followed by an exact pressure projection.
 
-The phase update solves, with c = a + s_stab,
+The phase update treats the constant c = max(a) + s_stab implicitly and
+the rest of the chemical potential explicitly,
 
     phi_new - dt Lap_N(c phi_new + g) = phi_old - dt div(u phi_old),
-    g = -K*phi_old + F'(phi_old) - s_stab phi_old,
+    g = (a - c) phi_old - K*phi_old + F'(phi_old),
 
-through the SPD substitution psi = c * phi_new, and then *reconstructs*
-phi_new from the flux form so the cell sum of phi is conserved to round-off
-independently of the linear-solver residual.
+so every cell gets at least s_stab of stabilization (the constant-
+coefficient splitting of Dong & Shen, J. Comput. Phys. 231, 2012).  With
+psi = c * phi_new the implicit operator is psi / c - dt Lap_N psi, which
+one DCT-II solve inverts exactly.  phi_new is then *reconstructed* from the
+flux form so the cell sum of phi is conserved to round-off independently
+of the solve's residual.
 """
 
 from __future__ import annotations
@@ -144,18 +148,16 @@ class ForwardSolver:
         self.viscosity = viscosity
         self.scheme = scheme
         self.s_stab = 2.0 * potential.scale
-        self.c_implicit = kernel.mass_field.values + self.s_stab
-        if np.any(self.c_implicit <= 0):
-            raise ValueError("implicit coefficient a + s_stab must be positive")
-        self._helmholtz = HelmholtzNeumannSolver(grid, self.c_implicit, scheme.dt)
+        self.c_bar = float(kernel.mass_field.values.max()) + self.s_stab
+        self._helmholtz = HelmholtzNeumannSolver(grid, self.c_bar, scheme.dt)
         self._poisson = NeumannPoissonSolver(grid)
 
     # -- tolerances ---------------------------------------------------------
 
     def _atol(self, b: np.ndarray) -> float:
-        # the phase CG stops at a purely relative 1e-13: keeps the iterative
-        # solve map scale-equivariant, which the linearity/superposition
-        # guarantees of the tangent solver rely on
+        # post-condition of the direct phase solve, purely relative so it is
+        # scale-free: round-off leaves about 1e-15 max|b|, and the tangent's
+        # zero right-hand sides pass with a zero solution
         return 1e-13 * float(np.max(np.abs(b)))
 
     def check_cfl(self, u: VectorField):
@@ -174,8 +176,9 @@ class ForwardSolver:
     def step_ch(self, phi: ScalarField, u: VectorField):
         """Advance the order parameter one step; returns (phi_new, mu_new)."""
         dt = self.scheme.dt
-        g_expl = (-convolve(self.kernel, phi).values
-                  + self.potential.df(phi.values) - self.s_stab * phi.values)
+        g_expl = ((self.kernel.mass_field.values - self.c_bar) * phi.values
+                  - convolve(self.kernel, phi).values
+                  + self.potential.df(phi.values))
         b = (phi.values - dt * advect_scalar(u, phi).values
              + dt * laplacian_neumann_array(g_expl, self.grid))
         phi_new = self.solve_phase(b)
@@ -185,9 +188,9 @@ class ForwardSolver:
     def solve_phase(self, b: np.ndarray) -> ScalarField:
         """Implicit phase solve for right-hand side b, shared with the tangent.
 
-        Solves for psi = c * phi_new and rebuilds phi_new = b + dt Lap_N psi
-        in flux form, so the cell sum of phi_new equals that of b to
-        round-off whatever the CG residual.
+        Solves for psi = c_bar * phi_new and rebuilds phi_new = b + dt Lap_N
+        psi in flux form, so the cell sum of phi_new equals that of b to
+        round-off whatever the solve's residual.
         """
         psi, _ = self._helmholtz.solve(b, atol=self._atol(b))
         return ScalarField(self.grid,
@@ -200,10 +203,19 @@ class ForwardSolver:
 
         Solves Lap_N q = div u* for q = dt pi and sets u = u* - grad q.  The
         solve's residual is the divergence left in u, so its post-condition
-        max|r| <= tol_p is the divergence gate.
+        max|r| <= tol_p is the divergence gate.  A miss names the
+        predictor's divergence, since the residual is round-off relative to
+        it while tol_p is absolute.
         """
         b = divergence_face_to_cc(u_star).values
-        q, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
+        try:
+            q, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
+        except SolverConvergenceError as exc:
+            raise SolverConvergenceError(
+                f"projection left max|div u| = {exc.residual:.3e} > tol_p = "
+                f"{self.scheme.tol_p:.3e} from a predictor with max|div u*| = "
+                f"{float(np.max(np.abs(b))):.3e}",
+                residual=exc.residual, iterations=exc.iterations) from exc
         gq = gradient_cc_to_face(ScalarField(self.grid, q))
         u = VectorField(self.grid, u_star.ux - gq.ux, u_star.uy - gq.uy)
         u.enforce_noslip_normal()

@@ -245,7 +245,7 @@ def laplacian_neumann(phi: ScalarField) -> ScalarField:
 
 
 def laplacian_neumann_array(v: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Array-level Neumann Laplacian (hot path for the iterative solvers).
+    """Array-level Neumann Laplacian (phase steps and solver residual checks).
 
     Flux form: each interior face difference is added to the cell on one
     side and subtracted from the cell on the other; boundary faces carry no

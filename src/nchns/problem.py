@@ -56,9 +56,12 @@ class Targets:
     def validate(self, grid: Grid2D, nt: int, tol_p: float):
         if len(self.u_running) != nt + 1 or len(self.phi_running) != nt + 1:
             raise ValueError("running targets must have nt + 1 time levels")
+        for w in list(self.phi_running) + [self.phi_terminal]:
+            if w.grid != grid:
+                raise ValueError("phase target grid mismatch")
         for w in list(self.u_running) + [self.u_terminal]:
             if w.grid != grid:
-                raise ValueError("target grid mismatch")
+                raise ValueError("velocity target grid mismatch")
             dmax = float(np.max(np.abs(divergence_face_to_cc(w).values)))
             if dmax > tol_p:
                 raise ValueError(
@@ -80,10 +83,12 @@ class ControlBounds:
                                    np.full((grid.nx, grid.ny + 1), c))
         return cls([mk(lo) for _ in range(nt)], [mk(hi) for _ in range(nt)])
 
-    def validate(self):
+    def validate(self, grid: Grid2D):
         if len(self.lower) != len(self.upper):
             raise ValueError("bound trajectories must have equal length")
         for lo, hi in zip(self.lower, self.upper):
+            if lo.grid != grid or hi.grid != grid:
+                raise ValueError("bound grid mismatch")
             if np.any(lo.ux > hi.ux) or np.any(lo.uy > hi.uy):
                 raise ValueError("lower bound exceeds upper bound somewhere")
 
@@ -106,6 +111,6 @@ class ControlProblem:
         sch = self.forward.scheme
         self.targets.validate(self.forward.grid, sch.nt, sch.tol_p)
         if self.bounds is not None:
-            self.bounds.validate()
+            self.bounds.validate(self.forward.grid)
             if self.bounds.nt != sch.nt:
                 raise ValueError("bounds must have one entry per time step")

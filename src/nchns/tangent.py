@@ -10,9 +10,10 @@ on.
 The phase and velocity updates go through the forward solver's own
 ``solve_phase`` and ``advance_velocity``: the implicit solve acts on the
 assembled combination
-a*dphi - K*dphi_old + F''(phi_old) dphi_old + s_stab (dphi - dphi_old)
-with the forward step's operator and flux-form rebuild, so the cell sum of
-dphi stays zero to round-off, and du is projected exactly like u.
+c_bar dphi + (a - c_bar) dphi_old - K*dphi_old + F''(phi_old) dphi_old
+with the forward step's constant-coefficient operator and flux-form
+rebuild, so the cell sum of dphi stays zero to round-off, and du is
+projected exactly like u.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class TangentSolver:
         grid = fwd.grid
 
         # phase half: derivative of the conservative semi-implicit update
-        dg = (-convolve(fwd.kernel, dphi).values
-              + fwd.potential.d2f(state_phi.values) * dphi.values
-              - fwd.s_stab * dphi.values)
+        dg = ((fwd.kernel.mass_field.values - fwd.c_bar) * dphi.values
+              - convolve(fwd.kernel, dphi).values
+              + fwd.potential.d2f(state_phi.values) * dphi.values)
         db = (dphi.values
               - dt * (advect_scalar(state_u, dphi).values
                       + advect_scalar(du, state_phi).values)

@@ -7,6 +7,10 @@ from nchns import (CFLViolationError, ControlProblem, CostWeights, DoubleWell,
                    Viscosity, control_inner, directional_derivative_via_tangent,
                    divergence_face_to_cc, make_kernel, norm_l2,
                    reduced_gradient, run_adjoint, run_tangent, zero_control)
+from nchns.adjoint import AdjointSolver
+from nchns.grid import laplacian_neumann_array
+from nchns.kernels import grad_dot_convolve
+from nchns.physics import chemical_potential
 from nchns.presets import (constant_control, random_solenoidal, scalar_preset,
                            vector_preset)
 
@@ -96,6 +100,26 @@ def test_duality_gap_against_tangent():
     gap = abs(d_tan - d_adj) / max(abs(d_tan), abs(d_adj))
     assert gap <= 2e-2  # continuous-adjoint route: small but not machine zero
     assert gap > 0.0
+
+
+def test_adjoint_phase_step_is_consistent():
+    # at rest on a uniform phase only the nonlocal term and the diffusion
+    # c~ Lap q, c~ = a + F''(phi), act; the split step must match an explicit
+    # step with the variable c~ to O(dt^2), not only with its constant part
+    solver, _ = default_setup(n=32, nt=1, dt=1e-5)
+    grid, dt = solver.grid, solver.scheme.dt
+    phi = ScalarField.full(grid, 0.2)
+    mu = chemical_potential(phi, solver.kernel, solver.potential)
+    X, Y = grid.cell_centers()
+    aphi_next = ScalarField(grid, np.cos(np.pi * X) * np.cos(2 * np.pi * Y))
+    zero = VectorField.zeros(grid)
+    _, aphi = AdjointSolver(solver).step_back(
+        zero, phi, mu, zero, aphi_next, zero, phi, CostWeights(gamma=1.0))
+    c_tilde = solver.kernel.mass_field.values + solver.potential.d2f(phi.values)
+    rate = (c_tilde * laplacian_neumann_array(aphi_next.values, grid)
+            + grad_dot_convolve(solver.kernel, aphi_next).values)
+    defect = (aphi.values - aphi_next.values) / dt - rate
+    assert np.max(np.abs(defect)) <= 1e-2 * np.max(np.abs(rate))
 
 
 def test_adjoint_requires_matching_trajectory():

@@ -47,40 +47,17 @@ def test_poisson_is_linear_below_atol(rng):
     assert np.max(np.abs(x_small - scale * x)) <= 1e-14 * scale * np.max(np.abs(x))
 
 
-def test_helmholtz_variable_coefficient(rng):
-    grid = Grid2D(32, 32, 1.0, 1.0)
-    c = 1.5 + 0.8 * rng.random((32, 32))
-    dt = 1e-3
-    b = rng.standard_normal((32, 32))
-    solver = HelmholtzNeumannSolver(grid, c, dt)
-    x, info = solver.solve(b, atol=1e-13)
-    res = b - (x / c - dt * laplacian_neumann_array(x, grid))
-    assert np.max(np.abs(res)) <= 1e-13
-
-
-def test_helmholtz_diagonal_matches_operator(rng):
-    grid = Grid2D(24, 40, 2.0, 1.0)
-    c = 0.5 + rng.random((24, 40))
-    dt = 1e-3
-    solver = HelmholtzNeumannSolver(grid, c, dt)
-    for cell in ((0, 0), (0, 17), (23, 5), (11, 39), (12, 20)):
-        e = np.zeros((24, 40))
-        e[cell] = 1.0
-        a_ii = (e / c - dt * laplacian_neumann_array(e, grid))[cell]
-        assert solver.diag[cell] == pytest.approx(a_ii, rel=1e-14)
-
-
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_helmholtz_iterations_flat_at_cfl_dt(n, rng):
-    # the adjoint's coefficient a + F''(phi) spans about 0.1-3.1; at the
-    # viscous CFL step the diagonal preconditioner keeps CG grid-independent
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_helmholtz_direct_solve_at_cfl_dt(n, rng):
+    # one DCT pair solves the constant-coefficient operator to round-off at
+    # the viscous CFL step, on every grid
     grid = Grid2D(n, n, 1.0, 1.0)
     dt = grid.dx ** 2 / (8.0 * Viscosity().nu_max)
-    c = 0.1 + 3.0 * rng.random((n, n))
+    c = 3.1
     b = rng.standard_normal((n, n))
     atol = 1e-13 * np.max(np.abs(b))
     x, info = HelmholtzNeumannSolver(grid, c, dt).solve(b, atol=atol)
-    assert info.iterations <= 25
+    assert info.iterations == 1
     res = b - (x / c - dt * laplacian_neumann_array(x, grid))
     assert np.max(np.abs(res)) <= atol
 
@@ -88,24 +65,23 @@ def test_helmholtz_iterations_flat_at_cfl_dt(n, rng):
 def test_helmholtz_rejects_nonpositive_coefficient():
     grid = Grid2D(16, 16)
     with pytest.raises(ValueError):
-        HelmholtzNeumannSolver(grid, np.zeros((16, 16)), 1e-3)
+        HelmholtzNeumannSolver(grid, 0.0, 1e-3)
 
 
-def test_helmholtz_iteration_cap(rng):
+def test_helmholtz_unreachable_atol_raises_after_one_solve(rng):
     grid = Grid2D(16, 16)
-    c = 1.0 + 0.5 * rng.random((16, 16))
-    solver = HelmholtzNeumannSolver(grid, c, 1e-3, maxiter=1)
-    with pytest.raises(SolverConvergenceError):
-        solver.solve(rng.standard_normal((16, 16)), atol=1e-15)
+    solver = HelmholtzNeumannSolver(grid, 1.5, 1e-3)
+    with pytest.raises(SolverConvergenceError) as err:
+        solver.solve(rng.standard_normal((16, 16)), atol=1e-30)
+    assert err.value.iterations == 1
 
 
 def test_solves_leave_rhs_unchanged(rng):
     # ForwardSolver.step_ch rebuilds phi_new from b after the Helmholtz
     # solve, so a solve that wrote into b would break mass conservation
     grid = Grid2D(24, 40, 2.0, 1.0)
-    c = 1.0 + 0.5 * rng.random((24, 40))
     b = rng.standard_normal((24, 40)) + 0.3     # not mean-zero
-    for solver in (HelmholtzNeumannSolver(grid, c, 1e-2), NeumannPoissonSolver(grid)):
+    for solver in (HelmholtzNeumannSolver(grid, 1.5, 1e-2), NeumannPoissonSolver(grid)):
         kept = b.copy()
         _, info = solver.solve(b, atol=1e-12)
         assert info.iterations >= 1
@@ -114,10 +90,9 @@ def test_solves_leave_rhs_unchanged(rng):
 
 def test_non_finite_rhs_fails_fast(rng):
     grid = Grid2D(32, 32, 1.0, 1.0)
-    c = 1.0 + 0.5 * rng.random((32, 32))
     b = rng.standard_normal((32, 32))
     b[7, 11] = np.nan
-    for solver in (HelmholtzNeumannSolver(grid, c, 1e-3), NeumannPoissonSolver(grid)):
+    for solver in (HelmholtzNeumannSolver(grid, 1.5, 1e-3), NeumannPoissonSolver(grid)):
         with pytest.raises(SolverConvergenceError) as err:
             solver.solve(b, atol=1e-12)
         assert err.value.iterations <= 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nchns import (ControlBounds, ControlProblem, CostWeights, InitialData,
-                   ScalarField, Targets, VectorField, complementarity_violation,
-                   control_inner, control_norm,
+from nchns import (ControlBounds, ControlProblem, CostWeights, Grid2D,
+                   InitialData, ScalarField, Targets, VectorField,
+                   complementarity_violation, control_inner, control_norm,
                    directional_derivative_via_tangent, evaluate_cost,
                    kkt_residual, project_box, projected_gradient_descent,
                    reduced_gradient, run_adjoint, run_tangent, taylor_test,
@@ -260,6 +260,24 @@ def test_pgd_decreases_cost_and_stays_feasible():
     for vk in state.v:
         assert np.all(vk.ux >= lo) and np.all(vk.ux <= hi)
         assert np.all(vk.uy >= lo) and np.all(vk.uy <= hi)
+
+
+def test_control_problem_rejects_fields_on_another_grid():
+    solver, init = default_setup(n=16, nt=4)
+    other = Grid2D(16, 16, 2.0, 1.0)
+    weights = CostWeights(b2=1.0, gamma=1e-2)
+    bounds = ControlBounds.constant(solver.grid, 4, -1.0, 1.0)
+    targets = Targets.resting(solver.grid, 4)
+    targets.phi_running = [ScalarField.zeros(other) for _ in range(5)]
+    with pytest.raises(ValueError):
+        ControlProblem(solver, init, targets, weights, bounds)
+    targets = Targets.resting(solver.grid, 4)
+    targets.phi_terminal = ScalarField.zeros(other)
+    with pytest.raises(ValueError):
+        ControlProblem(solver, init, targets, weights, bounds)
+    with pytest.raises(ValueError):
+        ControlProblem(solver, init, Targets.resting(solver.grid, 4), weights,
+                       ControlBounds.constant(other, 4, -1.0, 1.0))
 
 
 def test_pgd_requires_bounds():

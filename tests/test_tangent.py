@@ -4,7 +4,7 @@ import pytest
 from nchns import norm_l2, run_tangent, zero_control
 from nchns.presets import constant_control, random_solenoidal
 
-from test_forward import default_setup, loose_solves
+from test_forward import default_setup, noisy_solves
 
 
 def state_sup_norm(pairs):
@@ -89,7 +89,7 @@ def test_tangent_requires_matching_lengths():
 def test_tangent_conserves_phase_mass(monkeypatch):
     solver, init = default_setup(nt=8)
     traj = solver.run(zero_control(solver.grid, 8), init)
-    loose_solves(solver, monkeypatch)
+    noisy_solves(solver, monkeypatch)
     tan = run_tangent(solver, traj, _direction(solver.grid, 8, amplitude=5.0))
     assert np.max(np.abs(tan.dphi[-1].values)) > 0.0
     for dphi in tan.dphi:
