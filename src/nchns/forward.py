@@ -147,8 +147,8 @@ class ForwardSolver:
         self.potential = potential
         self.viscosity = viscosity
         self.scheme = scheme
-        self.s_stab = 2.0 * potential.scale
-        self.c_bar = float(kernel.mass_field.values.max()) + self.s_stab
+        s_stab = 2.0 * potential.scale
+        self.c_bar = float(kernel.mass_field.values.max()) + s_stab
         self._helmholtz = HelmholtzNeumannSolver(grid, self.c_bar, scheme.dt)
         self._poisson = NeumannPoissonSolver(grid)
 
