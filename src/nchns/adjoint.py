@@ -111,9 +111,10 @@ class AdjointSolver:
         # its variable remainder and all couplings explicit
         gphi = gradient_cc_to_face(state_phi)
         w = ScalarField(grid, face_dot_to_cc(au, gphi))
+        d2f = fwd.potential.d2f(state_phi.values)
         nonlocal_coupling = (fwd.kernel.mass_field.values * w.values
                              - convolve(fwd.kernel, w).values
-                             + fwd.potential.d2f(state_phi.values) * w.values)
+                             + d2f * w.values)
         d_state = sym_gradient(state_u)
         d_adj = sym_gradient(au)
         visc_coupling = 2.0 * fwd.viscosity.dnu(state_phi.values) * (
@@ -127,7 +128,7 @@ class AdjointSolver:
         if weights.b2 != 0.0:
             explicit = explicit + weights.b2 * (state_phi.values - phi_target.values)
 
-        c_tilde = fwd.kernel.mass_field.values + fwd.potential.d2f(state_phi.values)
+        c_tilde = fwd.kernel.mass_field.values + d2f
         if np.any(c_tilde <= 0.0):
             raise StepFailureError(
                 "adjoint diffusion coefficient a + F''(phi) is not positive; "

@@ -149,6 +149,8 @@ class ForwardSolver:
         self.scheme = scheme
         s_stab = 2.0 * potential.scale
         self.c_bar = float(kernel.mass_field.values.max()) + s_stab
+        # the explicit part's coefficient, shared by the forward and tangent steps
+        self.a_minus_c_bar = kernel.mass_field.values - self.c_bar
         self._helmholtz = HelmholtzNeumannSolver(grid, self.c_bar, scheme.dt)
         self._poisson = NeumannPoissonSolver(grid)
 
@@ -176,7 +178,7 @@ class ForwardSolver:
     def step_ch(self, phi: ScalarField, u: VectorField):
         """Advance the order parameter one step; returns (phi_new, mu_new)."""
         dt = self.scheme.dt
-        g_expl = ((self.kernel.mass_field.values - self.c_bar) * phi.values
+        g_expl = (self.a_minus_c_bar * phi.values
                   - convolve(self.kernel, phi).values
                   + self.potential.df(phi.values))
         b = (phi.values - dt * advect_scalar(u, phi).values

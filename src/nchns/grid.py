@@ -201,18 +201,6 @@ class TensorField:
 
 
 # ---------------------------------------------------------------------------
-# padding helpers (ghost layers)
-
-def _pad_reflect_neg_y(w):
-    """No-slip ghost rows for a tangential face component: w[-1] = -w[0]."""
-    return np.concatenate([-w[:, :1], w, -w[:, -1:]], axis=1)
-
-
-def _pad_reflect_neg_x(w):
-    return np.concatenate([-w[:1, :], w, -w[-1:, :]], axis=0)
-
-
-# ---------------------------------------------------------------------------
 # first-order building blocks
 
 def gradient_cc_to_face(phi: ScalarField) -> VectorField:
@@ -308,21 +296,6 @@ def cc_components_to_faces(grid: Grid2D, tx: np.ndarray, ty: np.ndarray,
     return VectorField(grid, ux, uy)
 
 
-def uy_at_xfaces(w: VectorField) -> np.ndarray:
-    """Average the y component to interior x-face locations (zero at boundary)."""
-    g = w.grid
-    out = np.zeros((g.nx + 1, g.ny))
-    out[1:-1, :] = 0.25 * (w.uy[1:, :-1] + w.uy[1:, 1:] + w.uy[:-1, :-1] + w.uy[:-1, 1:])
-    return out
-
-
-def ux_at_yfaces(w: VectorField) -> np.ndarray:
-    g = w.grid
-    out = np.zeros((g.nx, g.ny + 1))
-    out[:, 1:-1] = 0.25 * (w.ux[:-1, 1:] + w.ux[1:, 1:] + w.ux[:-1, :-1] + w.ux[1:, :-1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # derived operators
 
@@ -396,27 +369,48 @@ def div_viscous_stress(nu_cc: ScalarField, u: VectorField,
     nodes where the shear stress lives.  ``require_positive`` applies to the
     physical viscosity; linearized solvers pass products like nu'(phi)*eta
     that may change sign.
+
+    Allocates the two output face arrays, one cell-shaped work array, the
+    two node arrays of ``_node_shear_rates`` and the two of
+    ``_nodes_from_cc``; every other intermediate is written into those.
     """
     _require_same_grid(nu_cc, u)
     if require_positive and np.any(nu_cc.values <= 0.0):
         raise HypothesisViolationError("viscosity must be positive everywhere")
     g = u.grid
     nu = nu_cc.values
-    dxx = (u.ux[1:, :] - u.ux[:-1, :]) / g.dx
-    dyy = (u.uy[:, 1:] - u.uy[:, :-1]) / g.dy
-    duxdy, duydx = _node_shear_rates(u)
-    d12 = 0.5 * (duxdy + duydx)
-    nu_node = _nodes_from_cc(nu)
-    txx = 2.0 * nu * dxx
-    tyy = 2.0 * nu * dyy
-    txy = 2.0 * nu_node * d12
-    ux = np.zeros((g.nx + 1, g.ny))
-    uy = np.zeros((g.nx, g.ny + 1))
-    ux[1:-1, :] = (txx[1:, :] - txx[:-1, :]) / g.dx \
-        + (txy[1:-1, 1:] - txy[1:-1, :-1]) / g.dy
-    uy[:, 1:-1] = (tyy[:, 1:] - tyy[:, :-1]) / g.dy \
-        + (txy[1:, 1:-1] - txy[:-1, 1:-1]) / g.dx
+    # shear stress 2 nu_node (duxdy + duydx) / 2 at the nodes
+    txy, duydx = _node_shear_rates(u)
+    txy += duydx
+    txy *= _nodes_from_cc(nu)
+    ux = np.empty((g.nx + 1, g.ny))
+    uy = np.empty((g.nx, g.ny + 1))
+    work = np.empty((g.nx, g.ny))
+    _stress_divergence_into(ux, u.ux, nu, txy, g.dx, g.dy, work)
+    _stress_divergence_into(uy.T, u.uy.T, nu.T, txy.T, g.dy, g.dx, work.T)
     return VectorField(g, ux, uy)
+
+
+def _stress_divergence_into(out, v, nu, txy, h, h_t, work):
+    """Write d_n(2 nu d_n v) + d_t txy on the faces normal to axis 0 into out.
+
+    ``v`` is the face component normal to axis 0, ``nu`` the cell
+    viscosity, ``txy`` the node shear stress, ``h``/``h_t`` the spacings
+    along/across axis 0 and ``work`` a cell-shaped scratch array.  Boundary
+    faces get zero.  The y component is the same call on transposed views.
+    """
+    np.subtract(v[1:], v[:-1], out=work)
+    work /= h
+    work *= nu                      # half the normal stress
+    inner = out[1:-1]
+    np.subtract(work[1:], work[:-1], out=inner)
+    inner /= 0.5 * h                # the factor 2 of the stress, exactly
+    shear = work[:-1]
+    np.subtract(txy[1:-1, 1:], txy[1:-1, :-1], out=shear)
+    shear /= h_t
+    inner += shear
+    out[0] = 0.0
+    out[-1] = 0.0
 
 
 def _nodes_from_cc(c: np.ndarray) -> np.ndarray:
@@ -455,24 +449,48 @@ def advect_scalar(u: VectorField, phi: ScalarField) -> ScalarField:
 
 
 def advect_vector(u: VectorField, w: VectorField) -> VectorField:
-    """(u . grad) w per component with centered differences on faces."""
+    """(u . grad) w per component with centered differences on faces.
+
+    Allocates the two output face arrays and two face-shaped work arrays
+    per component; every other intermediate is written into those.
+    """
     _require_same_grid(u, w)
     g = u.grid
-    out_x = np.zeros((g.nx + 1, g.ny))
-    out_y = np.zeros((g.nx, g.ny + 1))
-
-    dwx_dx = (w.ux[2:, :] - w.ux[:-2, :]) / (2.0 * g.dx)           # interior x-faces
-    wxp = _pad_reflect_neg_y(w.ux)
-    dwx_dy = (wxp[1:-1, 2:] - wxp[1:-1, :-2]) / (2.0 * g.dy)
-    uy_x = uy_at_xfaces(u)
-    out_x[1:-1, :] = u.ux[1:-1, :] * dwx_dx + uy_x[1:-1, :] * dwx_dy
-
-    dwy_dy = (w.uy[:, 2:] - w.uy[:, :-2]) / (2.0 * g.dy)
-    wyp = _pad_reflect_neg_x(w.uy)
-    dwy_dx = (wyp[2:, 1:-1] - wyp[:-2, 1:-1]) / (2.0 * g.dx)
-    ux_y = ux_at_yfaces(u)
-    out_y[:, 1:-1] = u.uy[:, 1:-1] * dwy_dy + ux_y[:, 1:-1] * dwy_dx
+    out_x = np.empty((g.nx + 1, g.ny))
+    out_y = np.empty((g.nx, g.ny + 1))
+    _advect_component_into(out_x, u.ux, u.uy, w.ux, g.dx, g.dy)
+    _advect_component_into(out_y.T, u.uy.T, u.ux.T, w.uy.T, g.dy, g.dx)
     return VectorField(g, out_x, out_y)
+
+
+def _advect_component_into(out, un, ut, w, h, h_t):
+    """Write un d_n w + <ut> d_t w on the faces normal to axis 0 into out.
+
+    ``un`` and ``w`` live on those faces, ``ut`` on the faces normal to
+    axis 1 and enters as the mean of the four around each face.  The no-slip
+    ghost w[:, -1] = -w[:, 0] turns the wall differences across axis 1 into
+    w[:, 1] + w[:, 0] and -(w[:, -1] + w[:, -2]).  Boundary faces get zero.
+    The y component is the same call on transposed views.
+    """
+    inner = out[1:-1]
+    np.subtract(w[2:], w[:-2], out=inner)
+    inner /= 2.0 * h
+    inner *= un[1:-1]
+    ut_mean = np.add(ut[1:, :-1], ut[1:, 1:])
+    ut_mean += ut[:-1, :-1]
+    ut_mean += ut[:-1, 1:]
+    ut_mean *= 0.25
+    dw = np.empty_like(ut_mean)
+    wi = w[1:-1]
+    np.subtract(wi[:, 2:], wi[:, :-2], out=dw[:, 1:-1])
+    np.add(wi[:, 1], wi[:, 0], out=dw[:, 0])
+    np.add(wi[:, -1], wi[:, -2], out=dw[:, -1])
+    np.negative(dw[:, -1], out=dw[:, -1])
+    dw /= 2.0 * h_t
+    dw *= ut_mean
+    inner += dw
+    out[0] = 0.0
+    out[-1] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from .kernels import Kernel, convolve
 
 @dataclass(frozen=True)
 class DoubleWell:
-    """Quartic double well F(s) = (scale/4)(s^2 - 1)^2 + offset, C^infinity."""
+    """Quartic double well F(s) = (scale/4)(s^2 - 1)^2 + offset, C^infinity.
+
+    F'(s) is evaluated in the factored form s (s - 1)(s + 1): it avoids a
+    ``pow`` call per element, and near the wells s = +-1 the factor s -+ 1
+    is exact (Sterbenz), so F' keeps its relative accuracy there, where
+    s^3 - s and s (s^2 - 1) cancel catastrophically.
+    """
 
     scale: float = 1.0
     offset: float = 0.0
@@ -31,7 +37,7 @@ class DoubleWell:
         return 0.25 * self.scale * (s ** 2 - 1.0) ** 2 + self.offset
 
     def df(self, s):
-        return self.scale * (s ** 3 - s)
+        return self.scale * s * (s - 1.0) * (s + 1.0)
 
     def d2f(self, s):
         return self.scale * (3.0 * s ** 2 - 1.0)

@@ -66,7 +66,7 @@ class TangentSolver:
         grid = fwd.grid
 
         # phase half: derivative of the conservative semi-implicit update
-        dg = ((fwd.kernel.mass_field.values - fwd.c_bar) * dphi.values
+        dg = (fwd.a_minus_c_bar * dphi.values
               - convolve(fwd.kernel, dphi).values
               + fwd.potential.d2f(state_phi.values) * dphi.values)
         db = (dphi.values

@@ -65,6 +65,77 @@ def direct_node_average(c):
     return out
 
 
+def _noslip_ghost(a, i, j):
+    """a[i, j] with no-slip reflection ghosts outside the array: a[-1] = -a[0]."""
+    n, m = a.shape
+    sign = 1.0
+    if i < 0 or i >= n:
+        i, sign = min(max(i, 0), n - 1), -sign
+    if j < 0 or j >= m:
+        j, sign = min(max(j, 0), m - 1), -sign
+    return sign * a[i, j]
+
+
+def direct_viscous_stress(nu, ux, uy, dx, dy):
+    """2 div(nu D u) on interior faces, one face at a time.
+
+    The normal stresses 2 nu d_x ux and 2 nu d_y uy live at cell centers; the
+    shear stress nu (d_y ux + d_x uy) lives at nodes, with the velocity's
+    no-slip reflection ghosts and the node viscosity the mean of the four
+    surrounding cells (edge-replicated outside).  Boundary faces are zero.
+    """
+    nx, ny = nu.shape
+    node_nu = direct_node_average(nu)
+
+    def txx(i, j):
+        return 2.0 * nu[i, j] * (ux[i + 1, j] - ux[i, j]) / dx
+
+    def tyy(i, j):
+        return 2.0 * nu[i, j] * (uy[i, j + 1] - uy[i, j]) / dy
+
+    def txy(i, j):
+        duxdy = (_noslip_ghost(ux, i, j) - _noslip_ghost(ux, i, j - 1)) / dy
+        duydx = (_noslip_ghost(uy, i, j) - _noslip_ghost(uy, i - 1, j)) / dx
+        return node_nu[i, j] * (duxdy + duydx)
+
+    out_x = np.zeros((nx + 1, ny))
+    out_y = np.zeros((nx, ny + 1))
+    for i in range(1, nx):
+        for j in range(ny):
+            out_x[i, j] = ((txx(i, j) - txx(i - 1, j)) / dx
+                           + (txy(i, j + 1) - txy(i, j)) / dy)
+    for i in range(nx):
+        for j in range(1, ny):
+            out_y[i, j] = ((tyy(i, j) - tyy(i, j - 1)) / dy
+                           + (txy(i + 1, j) - txy(i, j)) / dx)
+    return out_x, out_y
+
+
+def direct_advect_vector(ux, uy, wx, wy, dx, dy):
+    """(u . grad) w on interior faces by centered differences, one face at a time.
+
+    The transverse velocity is the mean of the four faces around each face;
+    the transverse difference of w reads no-slip reflection ghosts outside
+    the domain.  Boundary faces are zero.
+    """
+    nx, ny = uy.shape[0], ux.shape[1]
+    out_x = np.zeros((nx + 1, ny))
+    out_y = np.zeros((nx, ny + 1))
+    for i in range(1, nx):
+        for j in range(ny):
+            v = 0.25 * (uy[i - 1, j] + uy[i, j] + uy[i - 1, j + 1] + uy[i, j + 1])
+            out_x[i, j] = (ux[i, j] * (wx[i + 1, j] - wx[i - 1, j]) / (2.0 * dx)
+                           + v * (_noslip_ghost(wx, i, j + 1)
+                                  - _noslip_ghost(wx, i, j - 1)) / (2.0 * dy))
+    for i in range(nx):
+        for j in range(1, ny):
+            v = 0.25 * (ux[i, j - 1] + ux[i + 1, j - 1] + ux[i, j] + ux[i + 1, j])
+            out_y[i, j] = (uy[i, j] * (wy[i, j + 1] - wy[i, j - 1]) / (2.0 * dy)
+                           + v * (_noslip_ghost(wy, i + 1, j)
+                                  - _noslip_ghost(wy, i - 1, j)) / (2.0 * dx))
+    return out_x, out_y
+
+
 def pairwise_mixing_energy(kernel, phi_values):
     """(1/4) sum_x sum_y K(x-y) (phi(x) - phi(y))^2 dx dy dx dy, literal loops."""
     nx, ny = phi_values.shape

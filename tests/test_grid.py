@@ -10,7 +10,8 @@ from nchns.grid import (GridMismatchError, HypothesisViolationError,
                         _nodes_from_cc, laplacian_neumann_array)
 
 from conftest import solenoidal
-from oracles import direct_neumann_laplacian, direct_node_average, fit_slope
+from oracles import (direct_advect_vector, direct_neumann_laplacian,
+                     direct_node_average, direct_viscous_stress, fit_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,44 @@ def test_viscous_stress_manufactured_convergence():
     assert 1.8 <= slope <= 2.2
 
 
+def _random_noslip(grid, rng) -> VectorField:
+    """Random face field, not divergence-free, with zero boundary-normal faces."""
+    return VectorField(grid, rng.standard_normal((grid.nx + 1, grid.ny)),
+                       rng.standard_normal((grid.nx, grid.ny + 1))).enforce_noslip_normal()
+
+
+def _assert_matches_loops(out, direct_x, direct_y):
+    scale = max(np.max(np.abs(direct_x)), np.max(np.abs(direct_y)))
+    assert np.max(np.abs(out.ux - direct_x)) <= 1e-13 * scale
+    assert np.max(np.abs(out.uy - direct_y)) <= 1e-13 * scale
+
+
+def test_viscous_stress_matches_ghost_cell_loops(rng):
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    nu = rng.uniform(0.4, 1.6, (24, 40))
+    u = _random_noslip(grid, rng)
+    out = div_viscous_stress(ScalarField(grid, nu), u)
+    _assert_matches_loops(out, *direct_viscous_stress(nu, u.ux, u.uy, grid.dx, grid.dy))
+
+
+def test_velocity_operators_leave_inputs_unchanged(rng):
+    # the operators write their intermediates into work arrays; a write
+    # through a slice view of an input would show here
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    nu = ScalarField(grid, rng.uniform(0.4, 1.6, (24, 40)))
+    signed_nu = ScalarField(grid, rng.standard_normal((24, 40)))
+    u = _random_noslip(grid, rng)
+    w = _random_noslip(grid, rng)
+    kept = [a.copy() for a in (nu.values, signed_nu.values, u.ux, u.uy, w.ux, w.uy)]
+    div_viscous_stress(nu, u)
+    div_viscous_stress(signed_nu, w, require_positive=False)
+    advect_vector(u, w)
+    advect_vector(w, w)
+    for a, b in zip((nu.values, signed_nu.values, u.ux, u.uy, w.ux, w.uy), kept,
+                    strict=True):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # advection
 
@@ -280,6 +319,15 @@ def test_advect_vector_uniform_stream_matches_dx():
         hs.append(grid.dx)
     slope = fit_slope(hs, errs)
     assert 1.8 <= slope <= 2.2
+
+
+def test_advect_vector_matches_ghost_cell_loops(rng):
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    u = _random_noslip(grid, rng)
+    w = _random_noslip(grid, rng)
+    out = advect_vector(u, w)
+    _assert_matches_loops(out, *direct_advect_vector(u.ux, u.uy, w.ux, w.uy,
+                                                     grid.dx, grid.dy))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,20 @@ def test_potential_derivative_chain():
         num = _fd(f, s)
         scale = np.maximum(np.abs(df(s)), 1.0)
         assert np.max(np.abs(num - df(s)) / scale) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_potential_derivative_accurate_near_the_wells(scale):
+    # F'(s) = scale (s^3 - s) cancels at s = +-1; against exact rational
+    # arithmetic on the same double inputs it must stay within a few ulp
+    pot = DoubleWell(scale=scale)
+    s = np.array([1 + 1e-12, 1 - 1e-12, -1 + 2e-12, 1 + 2.0 ** -40, 0.3, -2.5, 7.0])
+    got = pot.df(s)
+    for si, gi in zip(s, got, strict=True):
+        x = Fraction(float(si))
+        exact = Fraction(scale) * (x ** 3 - x)
+        ulps = abs(Fraction(float(gi)) - exact) / Fraction(np.spacing(abs(float(exact))))
+        assert ulps <= 4, f"F'({si!r}) off by {float(ulps):.3g} ulp"
 
 
 def test_viscosity_derivative_chain():
