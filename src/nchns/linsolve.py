@@ -38,7 +38,13 @@ class SolverConvergenceError(RuntimeError):
 
 
 def fft_workers() -> int:
-    """Worker cap for FFT-backed kernels, from NCHNS_THREADS (default 1)."""
+    """Worker cap for the FFTs and DCTs, from NCHNS_THREADS (default 1).
+
+    It caps FFT workers only.  The Toeplitz products of separable kernels
+    run on numpy's BLAS, whose thread count its own variables set
+    (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``); the benchmark's
+    ``perfbench/run.py`` pins those to 1 as well.
+    """
     try:
         return max(1, int(os.environ.get("NCHNS_THREADS", "1")))
     except ValueError:

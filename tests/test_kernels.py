@@ -148,6 +148,33 @@ def _rel_err(fast, direct):
     return np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
 
 
+def _assert_matches_direct_sums(kern, phi, rtol=1e-12):
+    """convolve, mass_field, grad_convolve and grad_dot_convolve against the
+    double sums over the kernel's stencils.  Each error is relative to the
+    largest direct value; an all-zero direct sum must be met exactly."""
+    grid = kern.grid
+
+    def close(fast, direct):
+        assert np.max(np.abs(fast - direct)) <= rtol * np.max(np.abs(direct))
+
+    close(convolve(kern, ScalarField(grid, phi)).values,
+          direct_convolution(kern, phi))
+    close(kern.mass_field.values,
+          direct_convolution(kern, np.ones((grid.nx, grid.ny))))
+
+    fast = grad_convolve(kern, ScalarField(grid, phi))
+    direct = cc_components_to_faces(
+        grid, direct_convolution(kern, phi, kern.gx_stencil),
+        direct_convolution(kern, phi, kern.gy_stencil), boundary="edge")
+    close(fast.ux, direct.ux)
+    close(fast.uy, direct.uy)
+
+    q = ScalarField(grid, phi)
+    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
+    close(grad_dot_convolve(kern, q).values,
+          direct_grad_dot_convolution(kern, qx_cc, qy_cc))
+
+
 @pytest.mark.parametrize("nx,ny", [(8, 13), (13, 8)])
 def test_tight_padding_matches_direct_sums(nx, ny, rng):
     # 2n - 1 = 15 and 25 are fast lengths, so the transforms run at exactly
@@ -160,24 +187,61 @@ def test_tight_padding_matches_direct_sums(nx, ny, rng):
     shape = (2 * nx - 1, 2 * ny - 1)
     kern = Kernel(grid, "gaussian", {}, rng.standard_normal(shape),
                   rng.standard_normal(shape), rng.standard_normal(shape))
-    phi = rng.standard_normal((nx, ny))
+    _assert_matches_direct_sums(kern, rng.standard_normal((nx, ny)))
 
-    assert _rel_err(convolve(kern, ScalarField(grid, phi)).values,
-                    direct_convolution(kern, phi)) <= 1e-12
-    assert _rel_err(kern.mass_field.values,
-                    direct_convolution(kern, np.ones((nx, ny)))) <= 1e-12
 
-    fast = grad_convolve(kern, ScalarField(grid, phi))
-    direct = cc_components_to_faces(
-        grid, direct_convolution(kern, phi, kern.gx_stencil),
-        direct_convolution(kern, phi, kern.gy_stencil), boundary="edge")
-    assert _rel_err(fast.ux, direct.ux) <= 1e-12
-    assert _rel_err(fast.uy, direct.uy) <= 1e-12
+@pytest.mark.parametrize("family,params,factored", [
+    ("gaussian", {"width": 0.3, "amplitude": 1.3}, True),
+    ("delta", {"amplitude": 1.3}, True),
+    ("mollified_newtonian", {"core_radius": 0.05}, False),
+])
+@pytest.mark.parametrize("nx,ny", [(8, 13), (13, 8)])
+def test_make_kernel_matches_direct_sums(nx, ny, family, params, factored, rng):
+    # the separable families take the Toeplitz path, the Newtonian the FFT
+    # path; with nx != ny a transposed or swapped factor changes the result
+    kern = make_kernel(Grid2D(nx, ny, 1.0, 1.7), family, **params)
+    assert (kern.factors is not None) == factored
+    _assert_matches_direct_sums(kern, rng.standard_normal((nx, ny)))
 
-    q = ScalarField(grid, phi)
-    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
-    assert _rel_err(grad_dot_convolve(kern, q).values,
-                    direct_grad_dot_convolution(kern, qx_cc, qy_cc)) <= 1e-12
+
+def test_toeplitz_and_fft_paths_agree(rng):
+    # the same gaussian tabulated from its closed form in 2-D (FFT path)
+    # and by make_kernel from 1-D factors (Toeplitz path)
+    grid = Grid2D(24, 40, 1.0, 1.7)
+    sigma, amp = 0.2, 1.3
+    ox = (np.arange(2 * grid.nx - 1) - (grid.nx - 1)) * grid.dx
+    oy = (np.arange(2 * grid.ny - 1) - (grid.ny - 1)) * grid.dy
+    X, Y = np.meshgrid(ox, oy, indexing="ij")
+    k = amp * np.exp(-(X ** 2 + Y ** 2) / (2 * sigma ** 2))
+    fft_kern = Kernel(grid, "gaussian", {}, k, -(X / sigma ** 2) * k,
+                      -(Y / sigma ** 2) * k)
+    sep_kern = make_kernel(grid, "gaussian", width=sigma, amplitude=amp)
+    assert fft_kern.factors is None and sep_kern.factors is not None
+    phi = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
+
+    def outputs(kern):
+        g = grad_convolve(kern, phi)
+        return (convolve(kern, phi).values, kern.mass_field.values, g.ux, g.uy,
+                grad_dot_convolve(kern, phi).values)
+
+    for a, b in zip(outputs(fft_kern), outputs(sep_kern), strict=True):
+        assert _rel_err(a, b) <= 1e-13
+
+    f = 0.37
+    for kern in (fft_kern, sep_kern):
+        scaled = kern.rescale(f)
+        assert (scaled.factors is None) == (kern.factors is None)
+        for a, b in zip(outputs(scaled), outputs(kern), strict=True):
+            assert _rel_err(a, f * b) <= 1e-13
+
+
+def test_kernel_needs_stencils_or_factors(grid16):
+    st = np.zeros((31, 31))
+    with pytest.raises(ValueError):
+        Kernel(grid16, "gaussian", {})
+    with pytest.raises(ValueError):
+        Kernel(grid16, "gaussian", {}, st, st, st,
+               factors=(np.zeros(31), np.zeros(31), np.zeros(31), np.zeros(31)))
 
 
 def test_admissibility_delta_kernel(grid16):
