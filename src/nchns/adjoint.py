@@ -16,10 +16,11 @@ forward-parabolic, so one backward step applies
   every eigenvalue lam >= 0 of -Lap_N.  The bounded nonlocal term
   grad K .* grad q, the transport and all velocity couplings are explicit.
 
-Step n consumes the state snapshot at level n and the adjoint at level n+1;
-terminal values are seeded from the terminal tracking residuals.  A CFL
-violation, a failed solve or a loss of coercivity raises
-``StepFailureError`` naming the step.
+Each term of ``problem.tracking_terms`` adds weight * residual at its
+level as a source.  The terminal adjoint is the level-nt sources (the
+velocity one projected); step n consumes the state at level n, the adjoint
+at level n+1 and the sources at level n.  A CFL violation, a failed solve
+or a loss of coercivity raises ``StepFailureError`` naming the step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .grid import (Grid2D, ScalarField, VectorField, advect_vector,
                    laplacian_neumann_array, sym_gradient, vector_to_cc)
 from .kernels import convolve, grad_dot_convolve
 from .linsolve import HelmholtzNeumannSolver, SolverConvergenceError
-from .problem import CostWeights, Targets
+from .problem import CostWeights, Targets, tracking_terms
 
 
 @dataclass
@@ -75,23 +76,15 @@ class AdjointSolver:
     def __init__(self, forward: ForwardSolver):
         self.fwd = forward
 
-    def terminal_values(self, traj: StateTrajectory, targets: Targets,
-                        weights: CostWeights):
-        grid = self.fwd.grid
-        seed = weights.b3 * (traj.u[-1] - targets.u_terminal)
-        if weights.b3 != 0.0:
-            au_T = self.fwd.project(seed)     # realize the divergence-free seed
-        else:
-            au_T = VectorField.zeros(grid)
-        aphi_T = ScalarField(grid, weights.b4
-                             * (traj.phi[-1].values - targets.phi_terminal.values))
-        return au_T, aphi_T
-
     def step_back(self, state_u: VectorField, state_phi: ScalarField,
                   state_mu: ScalarField, au_next: VectorField,
-                  aphi_next: ScalarField, u_target: VectorField,
-                  phi_target: ScalarField, weights: CostWeights):
-        """One reversed-time step; returns (au, aphi) at the lower level."""
+                  aphi_next: ScalarField, u_source: VectorField,
+                  phi_source: ScalarField):
+        """One reversed-time step; returns (au, aphi) at the lower level.
+
+        The lower level's tracking sources (w * r, or None for none) are
+        added to the adjoint velocity and phase as they are updated.
+        """
         fwd = self.fwd
         dt = fwd.scheme.dt
         grid = fwd.grid
@@ -103,9 +96,8 @@ class AdjointSolver:
                + advect_vector(state_u, au_next)
                - transpose_grad_contract(au_next, state_u)
                - kelvin_force(aphi_next, state_phi))
-        if weights.b1 != 0.0:
-            rhs = rhs + weights.b1 * (state_u - u_target)
-        au = fwd.advance_velocity(au_next, rhs)
+        au = fwd.advance_velocity(
+            au_next if u_source is None else au_next + u_source, rhs)
 
         # adjoint phase: constant part of the stiff diffusion implicit;
         # its variable remainder and all couplings explicit
@@ -125,8 +117,6 @@ class AdjointSolver:
 
         explicit = (grad_dot_convolve(fwd.kernel, aphi_next).values
                     + transport - visc_coupling + nonlocal_coupling - mu_coupling)
-        if weights.b2 != 0.0:
-            explicit = explicit + weights.b2 * (state_phi.values - phi_target.values)
 
         c_tilde = fwd.kernel.mass_field.values + d2f
         if np.any(c_tilde <= 0.0):
@@ -135,7 +125,10 @@ class AdjointSolver:
                 "the coercivity hypothesis fails on this state")
         c_bar = float(c_tilde.max())
         explicit += (c_tilde - c_bar) * laplacian_neumann_array(aphi_next.values, grid)
-        rhs_phase = (aphi_next.values + dt * explicit) / c_bar
+        rhs_phase = aphi_next.values + dt * explicit
+        if phi_source is not None:
+            rhs_phase += phi_source.values
+        rhs_phase /= c_bar
         solver = HelmholtzNeumannSolver(grid, c_bar, dt)
         aphi_vals, _ = solver.solve(rhs_phase, atol=fwd._atol(rhs_phase))
         return au, ScalarField(grid, aphi_vals)
@@ -148,15 +141,28 @@ class AdjointSolver:
         if traj.nt != nt:
             raise ValueError("state trajectory does not match the scheme")
         targets.validate(fwd.grid, nt, fwd.scheme.tol_p)
-        au_T, aphi_T = self.terminal_values(traj, targets, weights)
+        terms = tracking_terms(traj, targets, weights)   # level nt first
+        term = next(terms, None)
+
+        def sources(level):
+            """The (u, phi) sources w * r at ``level``, None where absent."""
+            nonlocal term
+            src = {"u": None, "phi": None}
+            while term is not None and term[2] == level:
+                src[term[1]] = term[0] * term[3]
+                term = next(terms, None)
+            return src["u"], src["phi"]
+
         au = [None] * (nt + 1)
         aphi = [None] * (nt + 1)
-        au[nt], aphi[nt] = au_T, aphi_T
+        u_src, phi_src = sources(nt)     # the terminal adjoint, u projected
+        au[nt] = VectorField.zeros(fwd.grid) if u_src is None else fwd.project(u_src)
+        aphi[nt] = ScalarField.zeros(fwd.grid) if phi_src is None else phi_src
         for n in range(nt - 1, -1, -1):
             try:
                 au[n], aphi[n] = self.step_back(
                     traj.u[n], traj.phi[n], traj.mu[n], au[n + 1], aphi[n + 1],
-                    targets.u_running[n], targets.phi_running[n], weights)
+                    *sources(n))
             except (CFLViolationError, SolverConvergenceError,
                     StepFailureError) as exc:
                 raise StepFailureError(str(exc), step=n) from exc

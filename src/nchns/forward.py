@@ -9,7 +9,7 @@ The phase update treats the constant c = max(a) + s_stab implicitly and
 the rest of the chemical potential explicitly,
 
     phi_new - dt Lap_N(c phi_new + g) = phi_old - dt div(u phi_old),
-    g = (a - c) phi_old - K*phi_old + F'(phi_old),
+    g = mu(phi_old) - c phi_old,   mu = a phi - K*phi + F'(phi),
 
 so every cell gets at least s_stab of stabilization (the constant-
 coefficient splitting of Dong & Shen, J. Comput. Phys. 231, 2012).  With
@@ -149,8 +149,6 @@ class ForwardSolver:
         self.scheme = scheme
         s_stab = 2.0 * potential.scale
         self.c_bar = float(kernel.mass_field.values.max()) + s_stab
-        # the explicit part's coefficient, shared by the forward and tangent steps
-        self.a_minus_c_bar = kernel.mass_field.values - self.c_bar
         self._helmholtz = HelmholtzNeumannSolver(grid, self.c_bar, scheme.dt)
         self._poisson = NeumannPoissonSolver(grid)
 
@@ -178,9 +176,8 @@ class ForwardSolver:
     def step_ch(self, phi: ScalarField, u: VectorField):
         """Advance the order parameter one step; returns (phi_new, mu_new)."""
         dt = self.scheme.dt
-        g_expl = (self.a_minus_c_bar * phi.values
-                  - convolve(self.kernel, phi).values
-                  + self.potential.df(phi.values))
+        g_expl = (chemical_potential(phi, self.kernel, self.potential).values
+                  - self.c_bar * phi.values)
         b = (phi.values - dt * advect_scalar(u, phi).values
              + dt * laplacian_neumann_array(g_expl, self.grid))
         phi_new = self.solve_phase(b)

@@ -57,7 +57,6 @@ from scipy import fft as sfft
 from .grid import (Grid2D, GridMismatchError, ScalarField, VectorField,
                    cc_components_to_faces, full_gradient_cc,
                    gradient_cc_to_face, norm_l2, vector_to_cc)
-from .linsolve import fft_workers
 
 KERNEL_FAMILIES = ("gaussian", "mollified_newtonian", "delta")
 
@@ -103,12 +102,10 @@ class Kernel:
             self._fshape = (sfft.next_fast_len(2 * grid.nx - 1),
                             sfft.next_fast_len(2 * grid.ny - 1))
         else:
-            # (tx, dtx, ty, dty), the cell volume folded into the x factors
-            fx, dfx, fy, dfy = factors
+            # (tx, dtx), the cell volume folded into the x factors
             vol = grid.cell_volume
-            self._toeplitz = (_toeplitz(vol * fx, grid.nx),
-                              _toeplitz(vol * dfx, grid.nx),
-                              _toeplitz(fy, grid.ny), _toeplitz(dfy, grid.ny))
+            self._x_toeplitz = (_toeplitz(vol * factors[0], grid.nx),
+                                _toeplitz(vol * factors[1], grid.nx))
         if mass_field is None:
             if factors is None:
                 hat = self._fwd(np.ones((grid.nx, grid.ny)))
@@ -139,23 +136,34 @@ class Kernel:
         fx, _, _, dfy = self.factors
         return np.outer(fx, dfy)
 
+    # -- the y Toeplitz matrices of a factored kernel, built when first
+    #    read; ``rescale`` shares them with the kernel it builds ----------
+
+    @cached_property
+    def _y_toeplitz(self):
+        _, _, fy, dfy = self.factors
+        return _toeplitz(fy, self.grid.ny), _toeplitz(dfy, self.grid.ny)
+
+    @cached_property
+    def _toeplitz(self):
+        """(tx, dtx, ty, dty)."""
+        return self._x_toeplitz + self._y_toeplitz
+
     # -- fast transform plumbing ------------------------------------------
 
     def _fwd(self, values: np.ndarray) -> np.ndarray:
         """Zero-padded real 2D transform of a cell field or a stencil."""
-        w = fft_workers()
-        hat = sfft.rfft(values, n=self._fshape[1], axis=1, workers=w)
-        return sfft.fft(hat, n=self._fshape[0], axis=0, overwrite_x=True, workers=w)
+        hat = sfft.rfft(values, n=self._fshape[1], axis=1)
+        return sfft.fft(hat, n=self._fshape[0], axis=0, overwrite_x=True)
 
     def _inv(self, hat: np.ndarray) -> np.ndarray:
         """Inverse of ``_fwd`` restricted to the domain, times the cell volume.
 
         Overwrites ``hat``.
         """
-        w = fft_workers()
         nx, ny = self.grid.nx, self.grid.ny
-        rows = sfft.ifft(hat, axis=0, overwrite_x=True, workers=w)[nx - 1:2 * nx - 1]
-        full = sfft.irfft(rows, n=self._fshape[1], axis=1, workers=w)
+        rows = sfft.ifft(hat, axis=0, overwrite_x=True)[nx - 1:2 * nx - 1]
+        full = sfft.irfft(rows, n=self._fshape[1], axis=1)
         return full[:, ny - 1:2 * ny - 1] * self.grid.cell_volume
 
     @cached_property
@@ -179,8 +187,10 @@ class Kernel:
                           self.stencil * factor, self.gx_stencil * factor,
                           self.gy_stencil * factor, mass)
         fx, dfx, fy, dfy = self.factors
-        return Kernel(self.grid, self.family, dict(self.params), mass_field=mass,
-                      factors=(fx * factor, dfx * factor, fy, dfy))
+        out = Kernel(self.grid, self.family, dict(self.params), mass_field=mass,
+                     factors=(fx * factor, dfx * factor, fy, dfy))
+        out._y_toeplitz = self._y_toeplitz    # the y factors are unchanged
+        return out
 
 
 def _tabulate(family: str, params: dict, grid: Grid2D) -> Kernel:

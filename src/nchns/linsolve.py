@@ -11,14 +11,16 @@ On the uniform grid the DCT-II basis diagonalizes Lap_N exactly, so each
 problem is one forward transform, a multiply by the inverse of the
 operator's eigenvalues and one inverse transform.  The phase steps keep
 c constant by moving the variable part of their coefficient into the
-explicit terms (see ``forward`` and ``adjoint``).  ``atol`` is a post-condition on the residual, not a stopping
-test: a residual above it, or one that is not finite, raises
-``SolverConvergenceError``.
+explicit terms (see ``forward`` and ``adjoint``).  ``atol`` is a
+post-condition on the residual, not a stopping test: a residual above it,
+or one that is not finite, raises ``SolverConvergenceError``.
+
+The transforms run on scipy.fft's default of one worker; a caller that
+wants more wraps its calls in ``scipy.fft.set_workers``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +37,6 @@ class SolverConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-def fft_workers() -> int:
-    """Worker cap for the FFTs and DCTs, from NCHNS_THREADS (default 1).
-
-    It caps FFT workers only.  The Toeplitz products of separable kernels
-    run on numpy's BLAS, whose thread count its own variables set
-    (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``); the benchmark's
-    ``perfbench/run.py`` pins those to 1 as well.
-    """
-    try:
-        return max(1, int(os.environ.get("NCHNS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -69,10 +57,9 @@ def _neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
 
 
 def _dct_solve(rhs: np.ndarray, inv_symbol: np.ndarray) -> np.ndarray:
-    w = fft_workers()
-    rhat = sfft.dctn(rhs, type=2, norm="ortho", workers=w)
+    rhat = sfft.dctn(rhs, type=2, norm="ortho")
     rhat *= inv_symbol
-    return sfft.idctn(rhat, type=2, norm="ortho", overwrite_x=True, workers=w)
+    return sfft.idctn(rhat, type=2, norm="ortho", overwrite_x=True)
 
 
 def _checked(x, r, atol, problem):

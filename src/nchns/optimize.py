@@ -3,9 +3,11 @@
 Space-time quadrature conventions (shared by the cost, both gradient routes
 and the stationarity measure):
 
-* running tracking terms use the left rectangle rule over levels 0..nt-1,
-  matching the backward sweep that reads the state snapshot at the lower
-  level of each step;
+* the tracking terms are those of ``problem.tracking_terms``, which is
+  their one definition: running terms by the left rectangle rule over the
+  levels 0..nt-1, terminal terms at level nt.  The cost sums them, the
+  tangent route pairs each with the tangent state at its level, and the
+  adjoint sweep takes each as its source at that level;
 * the control is piecewise constant per step, and the adjoint pairing uses
   the adjoint velocity at the *upper* level of each step, which is where the
   step's control sensitivity lands in the discrete scheme.
@@ -20,7 +22,8 @@ import numpy as np
 from .adjoint import AdjointTrajectory, run_adjoint
 from .forward import StateTrajectory
 from .grid import VectorField, inner_product_l2
-from .problem import ControlBounds, ControlProblem, CostWeights, Targets
+from .problem import (ControlBounds, ControlProblem, CostWeights, Targets,
+                      tracking_terms)
 from .tangent import TangentTrajectory, run_tangent
 
 
@@ -47,28 +50,12 @@ def control_axpy(alpha: float, x, y):
 def evaluate_cost(traj: StateTrajectory, v, targets: Targets,
                   weights: CostWeights) -> float:
     """Tracking cost of a computed trajectory under the given control."""
-    nt = traj.nt
-    if len(v) != nt:
+    if len(v) != traj.nt:
         raise ValueError("control length does not match the trajectory")
-    dt = traj.scheme.dt
-    w = weights
-    J = 0.0
-    if w.b1 != 0.0 or w.b2 != 0.0:
-        for k in range(nt):
-            if w.b1 != 0.0:
-                d = traj.u[k] - targets.u_running[k]
-                J += 0.5 * w.b1 * dt * inner_product_l2(d, d)
-            if w.b2 != 0.0:
-                d = traj.phi[k] - targets.phi_running[k]
-                J += 0.5 * w.b2 * dt * inner_product_l2(d, d)
-    if w.b3 != 0.0:
-        d = traj.u[nt] - targets.u_terminal
-        J += 0.5 * w.b3 * inner_product_l2(d, d)
-    if w.b4 != 0.0:
-        d = traj.phi[nt] - targets.phi_terminal
-        J += 0.5 * w.b4 * inner_product_l2(d, d)
-    if w.gamma != 0.0:
-        J += 0.5 * w.gamma * control_inner(v, v, dt)
+    J = sum(0.5 * w * inner_product_l2(r, r)
+            for w, _, _, r in tracking_terms(traj, targets, weights))
+    if weights.gamma != 0.0:
+        J += 0.5 * weights.gamma * control_inner(v, v, traj.scheme.dt)
     return float(J)
 
 
@@ -76,25 +63,12 @@ def directional_derivative_via_tangent(traj: StateTrajectory,
                                        tan: TangentTrajectory,
                                        targets: Targets, weights: CostWeights,
                                        v, h) -> float:
-    """Five-term derivative of the cost along h, using the tangent state."""
-    nt = traj.nt
-    dt = traj.scheme.dt
-    w = weights
-    out = 0.0
-    for k in range(nt):
-        if w.b1 != 0.0:
-            out += w.b1 * dt * inner_product_l2(traj.u[k] - targets.u_running[k],
-                                                tan.du[k])
-        if w.b2 != 0.0:
-            out += w.b2 * dt * inner_product_l2(
-                traj.phi[k] - targets.phi_running[k], tan.dphi[k])
-    if w.b3 != 0.0:
-        out += w.b3 * inner_product_l2(traj.u[nt] - targets.u_terminal, tan.du[nt])
-    if w.b4 != 0.0:
-        out += w.b4 * inner_product_l2(traj.phi[nt] - targets.phi_terminal,
-                                       tan.dphi[nt])
-    if w.gamma != 0.0:
-        out += w.gamma * control_inner(v, h, dt)
+    """Derivative of the cost along h, using the tangent state."""
+    tangent = {"u": tan.du, "phi": tan.dphi}
+    out = sum(w * inner_product_l2(r, tangent[kind][level])
+              for w, kind, level, r in tracking_terms(traj, targets, weights))
+    if weights.gamma != 0.0:
+        out += weights.gamma * control_inner(v, h, traj.scheme.dt)
     return float(out)
 
 
@@ -257,32 +231,24 @@ class TaylorReport:
 
 def taylor_test(problem: ControlProblem, v, h,
                 eps_sweep=(1e-1, 1e-2, 1e-3, 1e-4),
-                derivative: float = None, route: str = "tangent") -> TaylorReport:
+                derivative: float = None) -> TaylorReport:
     """Quadratic-remainder check of a directional derivative of the cost.
 
     R(eps) = |J(v + eps h) - J(v) - eps * derivative| must shrink at slope 2
     in a log-log fit over the sweep (points below the round-off floor are
     dropped from the fit).  ``derivative`` defaults to the tangent-route
-    value; pass ``route="adjoint"`` or an explicit number to test other
-    representations.
+    value; to test another representation, such as the adjoint gradient
+    paired with h, pass its value.
     """
     if len(eps_sweep) < 2:
         raise ValueError("need at least two sweep values")
     fwd = problem.forward
-    dt = fwd.scheme.dt
     traj = fwd.run(v, problem.init)
     J0 = evaluate_cost(traj, v, problem.targets, problem.weights)
     if derivative is None:
-        if route == "tangent":
-            tan = run_tangent(fwd, traj, h)
-            derivative = directional_derivative_via_tangent(
-                traj, tan, problem.targets, problem.weights, v, h)
-        elif route == "adjoint":
-            adj = run_adjoint(fwd, traj, problem.targets, problem.weights)
-            g = reduced_gradient(v, adj, problem.weights.gamma)
-            derivative = control_inner(g, h, dt)
-        else:
-            raise ValueError(f"unknown derivative route {route!r}")
+        tan = run_tangent(fwd, traj, h)
+        derivative = directional_derivative_via_tangent(
+            traj, tan, problem.targets, problem.weights, v, h)
 
     eps_sweep = sorted(eps_sweep, reverse=True)
     remainders = []

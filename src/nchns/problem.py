@@ -1,14 +1,15 @@
-"""Containers describing one tracking control problem.
+"""Containers describing one tracking control problem, and its tracking terms.
 
 Controls, bounds and running targets are piecewise constant in time: entry k
-acts on the step from t_k to t_{k+1}.  Running targets are indexed by time
-level (0..nt) so both the cost quadrature and the backward sweep can read
-the level they need.
+acts on the step from t_k to t_{k+1}, and a running target is compared with
+the state at that step's lower level t_k (the left rectangle rule).
+``tracking_terms`` is the one definition of the discrete tracking cost: the
+cost, its tangent derivative and the adjoint's sources all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,11 @@ class CostWeights:
 
 @dataclass
 class Targets:
-    """Running targets per time level (nt+1 entries) plus terminal targets."""
+    """Running targets per step (nt entries) plus terminal targets.
+
+    Entry k is compared with the state at level k, the lower level of step
+    k; the terminal targets are compared with the state at level nt.
+    """
 
     u_running: list
     phi_running: list
@@ -44,18 +49,19 @@ class Targets:
 
     @classmethod
     def from_trajectory(cls, traj) -> "Targets":
-        return cls([u.copy() for u in traj.u], [p.copy() for p in traj.phi],
+        return cls([u.copy() for u in traj.u[:-1]],
+                   [p.copy() for p in traj.phi[:-1]],
                    traj.u[-1].copy(), traj.phi[-1].copy())
 
     @classmethod
     def resting(cls, grid: Grid2D, nt: int, phi_value: float = 0.0) -> "Targets":
-        return cls([VectorField.zeros(grid) for _ in range(nt + 1)],
-                   [ScalarField.full(grid, phi_value) for _ in range(nt + 1)],
+        return cls([VectorField.zeros(grid) for _ in range(nt)],
+                   [ScalarField.full(grid, phi_value) for _ in range(nt)],
                    VectorField.zeros(grid), ScalarField.full(grid, phi_value))
 
     def validate(self, grid: Grid2D, nt: int, tol_p: float):
-        if len(self.u_running) != nt + 1 or len(self.phi_running) != nt + 1:
-            raise ValueError("running targets must have nt + 1 time levels")
+        if len(self.u_running) != nt or len(self.phi_running) != nt:
+            raise ValueError("running targets must have one entry per time step")
         for w in list(self.phi_running) + [self.phi_terminal]:
             if w.grid != grid:
                 raise ValueError("phase target grid mismatch")
@@ -66,6 +72,29 @@ class Targets:
             if dmax > tol_p:
                 raise ValueError(
                     f"velocity target divergence {dmax:.3e} exceeds {tol_p:.3e}")
+
+
+def tracking_terms(traj, targets: Targets, weights: CostWeights):
+    """Yield ``(weight, kind, level, residual)`` for each nonzero term.
+
+    ``kind`` is ``"u"`` or ``"phi"``; ``residual`` is the state at ``level``
+    minus its target.  Terminal terms (weight b3, b4) sit at level nt, running
+    terms (b1 dt, b2 dt) at each step's lower level k.  The terms come level
+    by level from nt down to 0, as the backward sweep reads them.  The
+    discrete tracking cost is the sum of weight/2 |residual|^2.
+    """
+    nt = traj.nt
+    dt = traj.scheme.dt
+    w = weights
+    if w.b3 != 0.0:
+        yield w.b3, "u", nt, traj.u[nt] - targets.u_terminal
+    if w.b4 != 0.0:
+        yield w.b4, "phi", nt, traj.phi[nt] - targets.phi_terminal
+    for k in range(nt - 1, -1, -1):
+        if w.b1 != 0.0:
+            yield w.b1 * dt, "u", k, traj.u[k] - targets.u_running[k]
+        if w.b2 != 0.0:
+            yield w.b2 * dt, "phi", k, traj.phi[k] - targets.phi_running[k]
 
 
 @dataclass

@@ -9,11 +9,10 @@ on.
 
 The phase and velocity updates go through the forward solver's own
 ``solve_phase`` and ``advance_velocity``: the implicit solve acts on the
-assembled combination
-c_bar dphi + (a - c_bar) dphi_old - K*dphi_old + F''(phi_old) dphi_old
-with the forward step's constant-coefficient operator and flux-form
-rebuild, so the cell sum of dphi stays zero to round-off, and du is
-projected exactly like u.
+assembled combination c_bar dphi + dmu - c_bar dphi_old, where dmu is the
+linearized chemical potential at (phi_old, dphi_old), with the forward
+step's constant-coefficient operator and flux-form rebuild, so the cell
+sum of dphi stays zero to round-off, and du is projected exactly like u.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ class TangentSolver:
         grid = fwd.grid
 
         # phase half: derivative of the conservative semi-implicit update
-        dg = (fwd.a_minus_c_bar * dphi.values
-              - convolve(fwd.kernel, dphi).values
-              + fwd.potential.d2f(state_phi.values) * dphi.values)
+        dg = self.linearized_mu(state_phi, dphi).values - fwd.c_bar * dphi.values
         db = (dphi.values
               - dt * (advect_scalar(state_u, dphi).values
                       + advect_scalar(du, state_phi).values)

@@ -114,7 +114,7 @@ def test_adjoint_phase_step_is_consistent():
     aphi_next = ScalarField(grid, np.cos(np.pi * X) * np.cos(2 * np.pi * Y))
     zero = VectorField.zeros(grid)
     _, aphi = AdjointSolver(solver).step_back(
-        zero, phi, mu, zero, aphi_next, zero, phi, CostWeights(gamma=1.0))
+        zero, phi, mu, zero, aphi_next, None, None)
     c_tilde = solver.kernel.mass_field.values + solver.potential.d2f(phi.values)
     rate = (c_tilde * laplacian_neumann_array(aphi_next.values, grid)
             + grad_dot_convolve(solver.kernel, aphi_next).values)

@@ -233,6 +233,10 @@ def test_toeplitz_and_fft_paths_agree(rng):
         assert (scaled.factors is None) == (kern.factors is None)
         for a, b in zip(outputs(scaled), outputs(kern), strict=True):
             assert _rel_err(a, f * b) <= 1e-13
+    # rescaling changes only the x factors: the y matrices are shared
+    scaled = sep_kern.rescale(f)
+    assert scaled._toeplitz[2] is sep_kern._toeplitz[2]
+    assert scaled._toeplitz[3] is sep_kern._toeplitz[3]
 
 
 def test_kernel_needs_stencils_or_factors(grid16):

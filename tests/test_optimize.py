@@ -8,6 +8,7 @@ from nchns import (ControlBounds, ControlProblem, CostWeights, Grid2D,
                    kkt_residual, project_box, projected_gradient_descent,
                    reduced_gradient, run_adjoint, run_tangent, taylor_test,
                    zero_control)
+from nchns.forward import StateTrajectory
 from nchns.optimize import control_axpy
 from nchns.presets import constant_control, random_solenoidal, vector_preset
 
@@ -108,6 +109,35 @@ def test_gradient_matches_central_differences():
     d_tan = directional_derivative_via_tangent(traj, tan, problem.targets,
                                                problem.weights, v, h)
     assert abs(d_tan - cds[1]) <= 1e-4 * abs(cds[1])
+
+
+@pytest.mark.parametrize("term", ["b1", "b2", "b3", "b4"])
+def test_each_tracking_term_matches_the_quadrature_oracle(term):
+    # J is quadratic in the state, so the central difference of the
+    # independent quadrature along the tangent state is its exact derivative
+    # for any eps.  The targets are the state under the control h, so each
+    # residual is close to minus the tangent state and the difference does
+    # not cancel; eps = 100 keeps the perturbation well above the state's
+    # own round-off.
+    problem, traj, h = small_problem(weights=CostWeights(**{term: 1.0}))
+    fwd = problem.forward
+    v = zero_control(fwd.grid, len(h))
+    targets = Targets.from_trajectory(fwd.run(h, problem.init))
+    tan = run_tangent(fwd, traj, h)
+
+    def J_along(eps):
+        moved = StateTrajectory(
+            traj.grid, traj.scheme, traj.times,
+            [u + eps * du for u, du in zip(traj.u, tan.du, strict=True)],
+            [p + eps * dp for p, dp in zip(traj.phi, tan.dphi, strict=True)],
+            traj.mu)
+        return quadrature_cost(moved, v, targets, problem.weights)
+
+    eps = 100.0
+    cd = (J_along(eps) - J_along(-eps)) / (2.0 * eps)
+    d = directional_derivative_via_tangent(traj, tan, targets, problem.weights,
+                                           v, h)
+    assert abs(d - cd) <= 1e-12 * abs(cd)
 
 
 def test_directional_derivative_trivial_cases():
@@ -268,7 +298,7 @@ def test_control_problem_rejects_fields_on_another_grid():
     weights = CostWeights(b2=1.0, gamma=1e-2)
     bounds = ControlBounds.constant(solver.grid, 4, -1.0, 1.0)
     targets = Targets.resting(solver.grid, 4)
-    targets.phi_running = [ScalarField.zeros(other) for _ in range(5)]
+    targets.phi_running = [ScalarField.zeros(other) for _ in range(4)]
     with pytest.raises(ValueError):
         ControlProblem(solver, init, targets, weights, bounds)
     targets = Targets.resting(solver.grid, 4)
@@ -308,11 +338,13 @@ def test_taylor_closed_form_quadratic():
     h = constant_control(solver.grid, 6,
                          random_solenoidal(solver.grid, 1.0,
                                            np.random.default_rng(8)))
-    report = taylor_test(problem, v, h, route="adjoint")
+    dt = solver.scheme.dt
+    adj = run_adjoint(solver, solver.run(v, init), targets, weights)
+    derivative = control_inner(reduced_gradient(v, adj, 0.5), h, dt)
+    report = taylor_test(problem, v, h, derivative=derivative)
     assert report.passed
     assert abs(report.slope - 2.0) < 1e-3
     # R(eps) = gamma eps^2 ||h||^2 / 2 exactly
-    dt = solver.scheme.dt
     expected = 0.5 * 0.5 * control_inner(h, h, dt)
     for eps, r in zip(report.eps, report.remainders):
         assert r == pytest.approx(expected * eps ** 2, rel=1e-6)
