@@ -10,11 +10,16 @@ forward-parabolic, so one backward step applies
 * a semi-implicit update of the adjoint phase.  Its stiff part
   c~ Lap q, c~ = a + F''(phi) (coercive under the validated hypothesis
   a + F'' >= c1 > 0), is split as c_n Lap q_n + (c~ - c_n) Lap q_{n+1}
-  with the constant c_n = max c~, so the implicit operator is one DCT-II
-  solve.  With frozen coefficients each cosine mode is multiplied by
+  with the constant c_n = max c~, so the implicit operator
+  q_n - c_n dt Lap_N q_n is one DCT-II solve on the unscaled right-hand
+  side, returned in flux form like the forward phase step.  With frozen
+  coefficients each cosine mode is multiplied by
   (1 + dt (c_n - c~) lam) / (1 + dt c_n lam), which lies in (0, 1] for
   every eigenvalue lam >= 0 of -Lap_N.  The bounded nonlocal term
   grad K .* grad q, the transport and all velocity couplings are explicit.
+
+Each step evaluates the state's face gradient grad phi_n and its cell
+velocity gradient grad u_n once and shares them between the terms.
 
 Each term of ``problem.tracking_terms`` adds weight * residual at its
 level as a source.  The terminal adjoint is the level-nt sources (the
@@ -54,13 +59,16 @@ class AdjointTrajectory:
         return len(self.times) - 1
 
 
-def transpose_grad_contract(p: VectorField, u: VectorField) -> VectorField:
-    """(p . grad^T u)_j = sum_i p_i d_j u_i, assembled at faces via centers."""
-    dux_dx, dux_dy, duy_dx, duy_dy = full_gradient_cc(u, noslip=True)
+def transpose_grad_contract(p: VectorField, grad_u) -> VectorField:
+    """(p . grad^T u)_j = sum_i p_i d_j u_i, assembled at faces via centers.
+
+    ``grad_u`` is ``full_gradient_cc(u)`` of a no-slip velocity u.
+    """
+    dux_dx, dux_dy, duy_dx, duy_dy = grad_u
     px, py = vector_to_cc(p)
     tx = px * dux_dx + py * duy_dx
     ty = px * dux_dy + py * duy_dy
-    return cc_components_to_faces(u.grid, tx, ty, boundary="zero")
+    return cc_components_to_faces(p.grid, tx, ty, boundary="zero")
 
 
 def face_dot_to_cc(p: VectorField, g: VectorField) -> np.ndarray:
@@ -90,28 +98,31 @@ class AdjointSolver:
         grid = fwd.grid
         fwd.check_cfl(state_u)
 
+        gphi = gradient_cc_to_face(state_phi)
+        grad_u = full_gradient_cc(state_u)
+
         # adjoint momentum: explicit update in reversed time, then projection
         nu_cc = ScalarField(grid, fwd.viscosity.nu(state_phi.values))
         rhs = (div_viscous_stress(nu_cc, au_next)
                + advect_vector(state_u, au_next)
-               - transpose_grad_contract(au_next, state_u)
-               - kelvin_force(aphi_next, state_phi))
+               - transpose_grad_contract(au_next, grad_u)
+               - kelvin_force(aphi_next, gphi))
         au = fwd.advance_velocity(
             au_next if u_source is None else au_next + u_source, rhs)
 
         # adjoint phase: constant part of the stiff diffusion implicit;
         # its variable remainder and all couplings explicit
-        gphi = gradient_cc_to_face(state_phi)
         w = ScalarField(grid, face_dot_to_cc(au, gphi))
         d2f = fwd.potential.d2f(state_phi.values)
         nonlocal_coupling = (fwd.kernel.mass_field.values * w.values
                              - convolve(fwd.kernel, w).values
                              + d2f * w.values)
-        d_state = sym_gradient(state_u)
+        # 2 nu'(phi) D(u) : D(au); 2 D(u)_xy is the sum of the shear rates
+        dux_dx, dux_dy, duy_dx, duy_dy = grad_u
         d_adj = sym_gradient(au)
         visc_coupling = 2.0 * fwd.viscosity.dnu(state_phi.values) * (
-            d_state.xx * d_adj.xx + 2.0 * d_state.xy * d_adj.xy
-            + d_state.yy * d_adj.yy)
+            dux_dx * d_adj.xx + (dux_dy + duy_dx) * d_adj.xy
+            + duy_dy * d_adj.yy)
         transport = face_dot_to_cc(state_u, gradient_cc_to_face(aphi_next))
         mu_coupling = face_dot_to_cc(au, gradient_cc_to_face(state_mu))
 
@@ -128,7 +139,6 @@ class AdjointSolver:
         rhs_phase = aphi_next.values + dt * explicit
         if phi_source is not None:
             rhs_phase += phi_source.values
-        rhs_phase /= c_bar
         solver = HelmholtzNeumannSolver(grid, c_bar, dt)
         aphi_vals, _ = solver.solve(rhs_phase, atol=fwd._atol(rhs_phase))
         return au, ScalarField(grid, aphi_vals)

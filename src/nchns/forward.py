@@ -12,11 +12,11 @@ the rest of the chemical potential explicitly,
     g = mu(phi_old) - c phi_old,   mu = a phi - K*phi + F'(phi),
 
 so every cell gets at least s_stab of stabilization (the constant-
-coefficient splitting of Dong & Shen, J. Comput. Phys. 231, 2012).  With
-psi = c * phi_new the implicit operator is psi / c - dt Lap_N psi, which
-one DCT-II solve inverts exactly.  phi_new is then *reconstructed* from the
-flux form so the cell sum of phi is conserved to round-off independently
-of the solve's residual.
+coefficient splitting of Dong & Shen, J. Comput. Phys. 231, 2012).  The
+implicit operator phi_new - c dt Lap_N phi_new is one DCT-II solve of
+``linsolve.HelmholtzNeumannSolver``, which returns phi_new rebuilt in flux
+form, so the cell sum of phi is conserved to round-off independently of
+the solve's residual.
 """
 
 from __future__ import annotations
@@ -110,12 +110,15 @@ def zero_control(grid: Grid2D, nt: int):
     return [VectorField.zeros(grid) for _ in range(nt)]
 
 
-def kelvin_force(mu: ScalarField, phi: ScalarField) -> VectorField:
-    """Capillary body force mu grad(phi) on faces (zero at boundary faces)."""
-    gphi = gradient_cc_to_face(phi)
-    fx = scalar_to_xfaces(mu) * gphi.ux
-    fy = scalar_to_yfaces(mu) * gphi.uy
-    return VectorField(phi.grid, fx, fy)
+def kelvin_force(mu: ScalarField, grad_phi: VectorField) -> VectorField:
+    """Capillary body force mu grad(phi) on faces (zero at boundary faces).
+
+    Takes the face gradient ``gradient_cc_to_face(phi)``, so that a step
+    that needs grad(phi) elsewhere computes it once.
+    """
+    fx = scalar_to_xfaces(mu) * grad_phi.ux
+    fy = scalar_to_yfaces(mu) * grad_phi.uy
+    return VectorField(grad_phi.grid, fx, fy)
 
 
 def total_energy(u: VectorField, phi: ScalarField, kernel: Kernel,
@@ -187,13 +190,12 @@ class ForwardSolver:
     def solve_phase(self, b: np.ndarray) -> ScalarField:
         """Implicit phase solve for right-hand side b, shared with the tangent.
 
-        Solves for psi = c_bar * phi_new and rebuilds phi_new = b + dt Lap_N
-        psi in flux form, so the cell sum of phi_new equals that of b to
-        round-off whatever the solve's residual.
+        Solves phi_new - c_bar dt Lap_N phi_new = b.  The solver returns
+        phi_new in flux form, so its cell sum equals that of b to round-off
+        whatever the solve's residual.
         """
-        psi, _ = self._helmholtz.solve(b, atol=self._atol(b))
-        return ScalarField(self.grid,
-                           b + self.scheme.dt * laplacian_neumann_array(psi, self.grid))
+        phi_new, _ = self._helmholtz.solve(b, atol=self._atol(b))
+        return ScalarField(self.grid, phi_new)
 
     # -- momentum step -------------------------------------------------------
 
@@ -233,7 +235,7 @@ class ForwardSolver:
                      mu_new: ScalarField, v: VectorField) -> VectorField:
         nu_cc = ScalarField(self.grid, self.viscosity.nu(phi_new.values))
         rhs = div_viscous_stress(nu_cc, u) - advect_vector(u, u) \
-            + kelvin_force(mu_new, phi_new) + v
+            + kelvin_force(mu_new, gradient_cc_to_face(phi_new)) + v
         return rhs
 
     def step_ns(self, u: VectorField, phi_new: ScalarField, mu_new: ScalarField,

@@ -13,9 +13,11 @@ x-faces, the y component ``(nx, ny+1)`` on y-faces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 class GridMismatchError(ValueError):
@@ -235,21 +237,40 @@ def laplacian_neumann(phi: ScalarField) -> ScalarField:
 def laplacian_neumann_array(v: np.ndarray, grid: Grid2D) -> np.ndarray:
     """Array-level Neumann Laplacian (phase steps and solver residual checks).
 
-    Flux form: each interior face difference is added to the cell on one
-    side and subtracted from the cell on the other; boundary faces carry no
-    flux, which is what mirror ghosts v[-1] = v[0], v[n] = v[n-1] give.
+    One product of the raveled field with the five-diagonal matrix of the
+    mirror-ghost stencil (ghosts v[-1] = v[0], v[n] = v[n-1], so boundary
+    faces carry no flux).  The matrix is symmetric with zero row sums, so
+    its columns sum to zero too and the cell sum of the output vanishes to
+    round-off: the operator keeps mass.  The five-product sum rounds at
+    about eps max|v| / h^2, not relative to the output; the phase steps
+    scale it by dt <= h^2 / (8 nu_max), and the solvers compare it with
+    the residual tolerance of their solve.
     """
-    out = np.empty_like(v)
-    flux = np.subtract(v[1:, :], v[:-1, :])
-    flux /= grid.dx ** 2
-    out[:-1, :] = flux
-    out[-1, :] = 0.0
-    out[1:, :] -= flux
-    flux = np.subtract(v[:, 1:], v[:, :-1])
-    flux /= grid.dy ** 2
-    out[:, :-1] += flux
-    out[:, 1:] -= flux
-    return out
+    return (_laplacian_matrix(grid) @ v.ravel()).reshape(v.shape)
+
+
+@functools.cache
+def _laplacian_matrix(grid: Grid2D) -> sparse.dia_matrix:
+    """The Neumann Laplacian on C-ordered (nx * ny) vectors, one per grid.
+
+    Built once per grid value; the solvers' constructors call it so that
+    the table exists before the first step.  ``data[k, col]`` holds the
+    weight of cell ``col`` in the row ``offsets[k]`` cells before it.
+    """
+    nx, ny = grid.nx, grid.ny
+    offsets = np.array([0, 1, -1, ny, -ny])
+    data = np.zeros((5, nx, ny))
+    data[1, :, 1:] = 1.0 / grid.dy ** 2     # row (i, j-1) reads v[i, j]
+    data[2, :, :-1] = 1.0 / grid.dy ** 2    # row (i, j+1)
+    data[3, 1:, :] = 1.0 / grid.dx ** 2     # row (i-1, j)
+    data[4, :-1, :] = 1.0 / grid.dx ** 2    # row (i+1, j)
+    # by symmetry a column's neighbour weights are its row's
+    np.sum(data[1:], axis=0, out=data[0])
+    np.negative(data[0], out=data[0])
+    lap = sparse.dia_matrix((data.reshape(5, nx * ny), offsets),
+                            shape=(nx * ny, nx * ny))
+    lap.data.flags.writeable = False
+    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -496,34 +517,23 @@ def _advect_component_into(out, un, ut, w, h, h_t):
 # ---------------------------------------------------------------------------
 # inner products / norms
 
-def _xface_weights(grid: Grid2D) -> np.ndarray:
-    w = np.ones((grid.nx + 1, grid.ny))
-    w[0, :] = 0.5
-    w[-1, :] = 0.5
-    return w
-
-
-def _yface_weights(grid: Grid2D) -> np.ndarray:
-    w = np.ones((grid.nx, grid.ny + 1))
-    w[:, 0] = 0.5
-    w[:, -1] = 0.5
-    return w
-
-
 def inner_product_l2(f, g) -> float:
     """Midpoint-quadrature L2 inner product for matching field types.
 
     Face values are weighted by the volume of their dual cell (half cells at
-    the boundary), so the measure of the domain is reproduced exactly.
+    the boundary), so the measure of the domain is reproduced exactly: the
+    full dot products less half those of the boundary faces.
     """
     _require_same_grid(f, g)
     vol = f.grid.cell_volume
     if isinstance(f, ScalarField) and isinstance(g, ScalarField):
         return float(np.vdot(f.values, g.values) * vol)
     if isinstance(f, VectorField) and isinstance(g, VectorField):
-        wx = _xface_weights(f.grid)
-        wy = _yface_weights(f.grid)
-        return float((np.vdot(f.ux * wx, g.ux) + np.vdot(f.uy * wy, g.uy)) * vol)
+        boundary = (np.vdot(f.ux[0], g.ux[0]) + np.vdot(f.ux[-1], g.ux[-1])
+                    + np.vdot(f.uy[:, 0], g.uy[:, 0])
+                    + np.vdot(f.uy[:, -1], g.uy[:, -1]))
+        inner = np.vdot(f.ux, g.ux) + np.vdot(f.uy, g.uy)
+        return float((inner - 0.5 * boundary) * vol)
     raise TypeError("inner_product_l2 requires two fields of the same kind")
 
 

@@ -2,16 +2,22 @@
 
 Both operators are built from the mirror-ghost Neumann Laplacian Lap_N:
 
-* the Helmholtz problem u / c - dt Lap_N u = b of the semi-implicit phase
+* the Helmholtz problem u - c dt Lap_N u = b of the semi-implicit phase
   steps (forward, tangent and adjoint), with a constant c > 0;
 * the singular pressure Poisson problem Lap_N p = b, whose constant null
   space is projected out.
 
 On the uniform grid the DCT-II basis diagonalizes Lap_N exactly, so each
 problem is one forward transform, a multiply by the inverse of the
-operator's eigenvalues and one inverse transform.  The phase steps keep
+operator's eigenvalues and one inverse transform.  The eigenvalues, like
+the Laplacian's matrix, are tabulated once per grid.  The phase steps keep
 c constant by moving the variable part of their coefficient into the
-explicit terms (see ``forward`` and ``adjoint``).  ``atol`` is a
+explicit terms (see ``forward`` and ``adjoint``).
+
+The Helmholtz solve returns its solution in flux form, u = b + dt Lap_N psi
+with psi = c u from the transform: the cell sum of u is then that of b to
+round-off whatever the transform's error, so the phase steps conserve
+mass, and the same Laplacian gives the residual u - psi / c.  ``atol`` is a
 post-condition on the residual, not a stopping test: a residual above it,
 or one that is not finite, raises ``SolverConvergenceError``.
 
@@ -21,12 +27,13 @@ wants more wraps its calls in ``scipy.fft.set_workers``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import Grid2D, laplacian_neumann_array
+from .grid import Grid2D, _laplacian_matrix, laplacian_neumann_array
 
 
 class SolverConvergenceError(RuntimeError):
@@ -49,11 +56,17 @@ class SolveInfo:
     residual: float
 
 
+@functools.cache
 def _neumann_eigenvalues(grid: Grid2D) -> np.ndarray:
-    """Eigenvalues of -Lap_N in the DCT-II basis; 0 for the constant mode."""
+    """Eigenvalues of -Lap_N in the DCT-II basis; 0 for the constant mode.
+
+    One read-only table per grid value, shared by every solver on it.
+    """
     lam_x = (2.0 - 2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx)) / grid.dx ** 2
     lam_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny)) / grid.dy ** 2
-    return lam_x[:, None] + lam_y[None, :]
+    lam = lam_x[:, None] + lam_y[None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 def _dct_solve(rhs: np.ndarray, inv_symbol: np.ndarray) -> np.ndarray:
@@ -79,9 +92,8 @@ class NeumannPoissonSolver:
     def __init__(self, grid: Grid2D):
         self.grid = grid
         lam = _neumann_eigenvalues(grid)
-        lam[0, 0] = 1.0
-        self._inv_lam = -1.0 / lam
-        self._inv_lam[0, 0] = 0.0
+        self._inv_lam = np.divide(-1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+        _laplacian_matrix(grid)     # tabulated in set-up, before any solve
 
     def solve(self, b: np.ndarray, atol: float):
         rhs = b - b.mean()
@@ -93,7 +105,13 @@ class NeumannPoissonSolver:
 
 
 class HelmholtzNeumannSolver:
-    """Solves u / c - dt Lap_N u = b by DCT-II, for a constant c > 0."""
+    """Solves u - c dt Lap_N u = b by DCT-II, for a constant c > 0.
+
+    The transform inverts the equivalent operator psi / c - dt Lap_N psi
+    for psi = c u; the solution is rebuilt from psi in flux form,
+    u = b + dt Lap_N psi, which keeps the cell sum of b to round-off (see
+    the module docstring).  Its residual in the psi equation is u - psi / c.
+    """
 
     def __init__(self, grid: Grid2D, c: float, dt: float):
         c = float(c)
@@ -103,11 +121,13 @@ class HelmholtzNeumannSolver:
         self.inv_c = 1.0 / c
         self.dt = dt
         self._inv_symbol = 1.0 / (self.inv_c + dt * _neumann_eigenvalues(grid))
+        _laplacian_matrix(grid)     # tabulated in set-up, before any solve
 
     def solve(self, b: np.ndarray, atol: float):
-        x = _dct_solve(b, self._inv_symbol)
-        r = laplacian_neumann_array(x, self.grid)
-        r *= self.dt
-        r += b
-        r -= self.inv_c * x
-        return _checked(x, r, atol, "Helmholtz")
+        psi = _dct_solve(b, self._inv_symbol)
+        u = laplacian_neumann_array(psi, self.grid)
+        u *= self.dt
+        u += b
+        psi *= -self.inv_c          # the residual u - psi / c, in psi's buffer
+        psi += u
+        return _checked(u, psi, atol, "Helmholtz")

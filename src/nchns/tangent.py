@@ -13,6 +13,8 @@ assembled combination c_bar dphi + dmu - c_bar dphi_old, where dmu is the
 linearized chemical potential at (phi_old, dphi_old), with the forward
 step's constant-coefficient operator and flux-form rebuild, so the cell
 sum of dphi stays zero to round-off, and du is projected exactly like u.
+Each step returns the dmu of its new level, which the next step reads as
+its dmu at (phi_old, dphi_old).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .forward import ForwardSolver, StateTrajectory, StepFailureError, kelvin_force
 from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
-                   advect_vector, div_viscous_stress, laplacian_neumann_array)
+                   advect_vector, div_viscous_stress, gradient_cc_to_face,
+                   laplacian_neumann_array)
 from .kernels import convolve
 from .linsolve import SolverConvergenceError
 
@@ -58,14 +61,19 @@ class TangentSolver:
 
     def step(self, state_phi: ScalarField, state_u: VectorField,
              state_phi_new: ScalarField, state_mu_new: ScalarField,
-             du: VectorField, dphi: ScalarField, h: VectorField):
-        """One linearized step; returns (du_new, dphi_new)."""
+             du: VectorField, dphi: ScalarField, dmu: ScalarField,
+             h: VectorField):
+        """One linearized step; returns (du_new, dphi_new, dmu_new).
+
+        ``dmu`` is ``linearized_mu(state_phi, dphi)``, the ``dmu_new`` of
+        the step before.
+        """
         fwd = self.fwd
         dt = fwd.scheme.dt
         grid = fwd.grid
 
         # phase half: derivative of the conservative semi-implicit update
-        dg = self.linearized_mu(state_phi, dphi).values - fwd.c_bar * dphi.values
+        dg = dmu.values - fwd.c_bar * dphi.values
         db = (dphi.values
               - dt * (advect_scalar(state_u, dphi).values
                       + advect_scalar(du, state_phi).values)
@@ -80,10 +88,10 @@ class TangentSolver:
         drhs = (div_viscous_stress(nu_cc, du)
                 + div_viscous_stress(dnu_cc, state_u, require_positive=False)
                 - advect_vector(du, state_u) - advect_vector(state_u, du)
-                + kelvin_force(dmu_new, state_phi_new)
-                + kelvin_force(state_mu_new, dphi_new)
+                + kelvin_force(dmu_new, gradient_cc_to_face(state_phi_new))
+                + kelvin_force(state_mu_new, gradient_cc_to_face(dphi_new))
                 + h)
-        return fwd.advance_velocity(du, drhs), dphi_new
+        return fwd.advance_velocity(du, drhs), dphi_new, dmu_new
 
     def run(self, traj: StateTrajectory, h_traj) -> TangentTrajectory:
         """Integrate the linearized system from zero initial data."""
@@ -97,11 +105,12 @@ class TangentSolver:
             fwd.grid, traj.times.copy(),
             du=[VectorField.zeros(fwd.grid)],
             dphi=[ScalarField.zeros(fwd.grid)])
+        dmu = ScalarField.zeros(fwd.grid)     # linearized_mu at dphi_0 = 0
         for k in range(nt):
             try:
-                du_new, dphi_new = self.step(
+                du_new, dphi_new, dmu = self.step(
                     traj.phi[k], traj.u[k], traj.phi[k + 1], traj.mu[k + 1],
-                    tan.du[k], tan.dphi[k], h_traj[k])
+                    tan.du[k], tan.dphi[k], dmu, h_traj[k])
             except SolverConvergenceError as exc:
                 raise StepFailureError(str(exc), step=k) from exc
             tan.du.append(du_new)

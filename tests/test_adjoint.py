@@ -1,5 +1,11 @@
+import gc
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import nchns
 
 from nchns import (CFLViolationError, ControlProblem, CostWeights, DoubleWell,
                    ForwardSolver, Grid2D, InitialData, ScalarField,
@@ -152,3 +158,37 @@ def test_adjoint_cfl_violation_names_the_step():
         run_adjoint(solver, traj, targets, CostWeights(b1=1.0))
     assert err.value.step == 4
     assert isinstance(err.value.__cause__, CFLViolationError)
+
+
+def test_sweeps_retain_no_arrays():
+    # a second forward, adjoint and tangent run must leave nothing allocated
+    # by the package once its results are dropped: the tables the first run
+    # needs are built by then, and a 32x32 array left on a solver is 8 kB
+    solver, init = default_setup(nt=4)
+    grid = solver.grid
+    v = zero_control(grid, 4)
+    h = constant_control(grid, 4, random_solenoidal(grid, 1.0, np.random.default_rng(1)))
+    targets = Targets.resting(grid, 4)
+    weights = CostWeights(b1=1.0, b2=1.0, b3=1.0, b4=1.0)
+
+    def sweeps():
+        traj = solver.run(v, init)
+        return traj, run_adjoint(solver, traj, targets, weights), \
+            run_tangent(solver, traj, h)
+
+    sweeps()
+    tracemalloc.start(25)
+    try:
+        out = sweeps()
+        del out
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    package = str(Path(nchns.__file__).resolve().parent / "*")
+    own = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    assert sum(stat.size for stat in own.statistics("filename")) < 1024
+    # arrays that numpy and scipy allocate for the package's calls, found
+    # through any frame; their own caches keep blocks of a few dozen bytes
+    called = snapshot.filter_traces([tracemalloc.Filter(True, package, all_frames=True)])
+    assert max((trace.size for trace in called.traces), default=0) < 1024

@@ -112,11 +112,19 @@ def test_laplacian_self_adjoint(grid32, rng):
 
 
 def test_laplacian_matches_ghost_cell_loops(rng):
-    grid = Grid2D(11, 17, 1.3, 0.7)
-    v = rng.standard_normal((11, 17))
+    for grid in (Grid2D(11, 17, 1.3, 0.7), Grid2D(24, 40, 2.0, 1.0)):
+        v = rng.standard_normal((grid.nx, grid.ny))
+        direct = direct_neumann_laplacian(v, grid.dx, grid.dy)
+        err = np.max(np.abs(laplacian_neumann_array(v, grid) - direct))
+        assert err <= 1e-13 * np.max(np.abs(direct))
+    # a smooth field with an offset: the stencil's five products round on
+    # the scale max|v| (2/dx^2 + 2/dy^2), here about 5e3 times max|Lap v|
+    grid = Grid2D(128, 128)
+    X, Y = grid.cell_centers()
+    v = 3.0 + np.cos(np.pi * X) * np.cos(2 * np.pi * Y)
     direct = direct_neumann_laplacian(v, grid.dx, grid.dy)
     err = np.max(np.abs(laplacian_neumann_array(v, grid) - direct))
-    assert err <= 1e-13 * np.max(np.abs(direct))
+    assert err <= 1e-14 * np.max(np.abs(v)) * (2 / grid.dx ** 2 + 2 / grid.dy ** 2)
 
 
 def test_node_average_matches_clamped_loops(rng):
@@ -346,6 +354,21 @@ def test_inner_product_measures_domain(grid32):
     ones_vec = VectorField(grid32, np.ones((33, 32)), np.ones((32, 33)))
     # face weighting reproduces the domain measure per component
     assert abs(inner_product_l2(ones_vec, ones_vec) - 2.0) < 1e-12
+
+
+def test_face_inner_product_halves_boundary_faces(rng):
+    # against the explicitly weighted sum, with nonzero boundary faces
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    f = VectorField(grid, rng.standard_normal((25, 40)), rng.standard_normal((24, 41)))
+    g = VectorField(grid, rng.standard_normal((25, 40)), rng.standard_normal((24, 41)))
+    wx = np.ones((25, 40))
+    wx[[0, -1], :] = 0.5
+    wy = np.ones((24, 41))
+    wy[:, [0, -1]] = 0.5
+    weighted = np.sum(wx * f.ux * g.ux) + np.sum(wy * f.uy * g.uy)
+    scale = np.sum(wx * np.abs(f.ux * g.ux)) + np.sum(wy * np.abs(f.uy * g.uy))
+    err = abs(inner_product_l2(f, g) - weighted * grid.cell_volume)
+    assert err <= 1e-14 * scale * grid.cell_volume
 
 
 def test_inner_product_sine_integral():

@@ -56,9 +56,9 @@ def test_helmholtz_direct_solve_at_cfl_dt(n, rng):
     c = 3.1
     b = rng.standard_normal((n, n))
     atol = 1e-13 * np.max(np.abs(b))
-    x, info = HelmholtzNeumannSolver(grid, c, dt).solve(b, atol=atol)
+    u, info = HelmholtzNeumannSolver(grid, c, dt).solve(b, atol=atol)
     assert info.iterations == 1
-    res = b - (x / c - dt * laplacian_neumann_array(x, grid))
+    res = b - (u - c * dt * laplacian_neumann_array(u, grid))
     assert np.max(np.abs(res)) <= atol
 
 
@@ -77,8 +77,8 @@ def test_helmholtz_unreachable_atol_raises_after_one_solve(rng):
 
 
 def test_solves_leave_rhs_unchanged(rng):
-    # ForwardSolver.step_ch rebuilds phi_new from b after the Helmholtz
-    # solve, so a solve that wrote into b would break mass conservation
+    # the Helmholtz solve rebuilds its solution from b after the transform,
+    # so a transform that wrote into b would break mass conservation
     grid = Grid2D(24, 40, 2.0, 1.0)
     b = rng.standard_normal((24, 40)) + 0.3     # not mean-zero
     for solver in (HelmholtzNeumannSolver(grid, 1.5, 1e-2), NeumannPoissonSolver(grid)):
