@@ -60,8 +60,10 @@ class TimeScheme:
     tol_p: float = 1e-10          # max |div u| after projection
 
     def __post_init__(self):
-        if self.dt <= 0 or self.nt < 1:
-            raise ValueError("need dt > 0 and nt >= 1")
+        # written so that a NaN, for which every comparison is False, fails
+        if not (0.0 < self.dt < np.inf and 0.0 < self.tol_p < np.inf) or self.nt < 1:
+            raise ValueError("need finite dt > 0, finite tol_p > 0 and nt >= 1, got "
+                             f"dt = {self.dt}, tol_p = {self.tol_p}, nt = {self.nt}")
 
     @property
     def final_time(self) -> float:
@@ -202,22 +204,23 @@ class ForwardSolver:
     def project(self, u_star: VectorField) -> VectorField:
         """Leray projection by one direct pressure-Poisson solve.
 
-        Solves Lap_N q = div u* for q = dt pi and sets u = u* - grad q.  The
-        solve's residual is the divergence left in u, so its post-condition
-        max|r| <= tol_p is the divergence gate.  A miss names the
-        predictor's divergence, since the residual is round-off relative to
-        it while tol_p is absolute.
+        The solver returns the face gradient g = grad q of the solution of
+        Lap_N q = div u* (q = dt pi), and u = u* - g.  The solve's residual,
+        div u* - div g (div u* - Lap_N q on grids above the solver's
+        crossover, the same in exact arithmetic), is the divergence left in
+        u, so its post-condition max|r| <= tol_p is the divergence gate.  A
+        miss names the predictor's divergence, since the residual is
+        round-off relative to it while tol_p is absolute.
         """
         b = divergence_face_to_cc(u_star).values
         try:
-            q, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
+            gq, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
         except SolverConvergenceError as exc:
             raise SolverConvergenceError(
                 f"projection left max|div u| = {exc.residual:.3e} > tol_p = "
                 f"{self.scheme.tol_p:.3e} from a predictor with max|div u*| = "
                 f"{float(np.max(np.abs(b))):.3e}",
                 residual=exc.residual, iterations=exc.iterations) from exc
-        gq = gradient_cc_to_face(ScalarField(self.grid, q))
         u = VectorField(self.grid, u_star.ux - gq.ux, u_star.uy - gq.uy)
         u.enforce_noslip_normal()
         return u

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from nchns import Grid2D, VectorField
+from nchns import Grid2D, VectorField, linsolve
 from nchns.presets import random_solenoidal
+
+# the two ways the Neumann solvers can run; the grid's size picks one
+SOLVER_PATHS = ("dense", "transform")
 
 
 @pytest.fixture
@@ -22,3 +25,8 @@ def grid32():
 
 def solenoidal(grid, rng, amplitude=1.0) -> VectorField:
     return random_solenoidal(grid, amplitude, rng)
+
+
+def force_solver_path(monkeypatch, path):
+    """Make the Neumann solvers take ``path`` on every grid, whatever its size."""
+    monkeypatch.setattr(linsolve, "_dense", lambda shape: path == "dense")

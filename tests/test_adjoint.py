@@ -20,6 +20,7 @@ from nchns.physics import chemical_potential
 from nchns.presets import (constant_control, random_solenoidal, scalar_preset,
                            vector_preset)
 
+from conftest import SOLVER_PATHS, force_solver_path
 from test_forward import default_setup
 
 
@@ -92,20 +93,22 @@ def test_adjoint_linear_in_target_residuals():
     assert num <= 1e-11 * den
 
 
-def test_duality_gap_against_tangent():
-    solver, init, traj, targets = tracking_setup(nt=40)
-    weights = CostWeights(b1=1.0, b2=1.0, b3=1.0, b4=1.0, gamma=0.0)
-    v = zero_control(solver.grid, 40)
-    h = constant_control(solver.grid, 40,
-                         random_solenoidal(solver.grid, 1.0,
-                                           np.random.default_rng(42)))
-    tan = run_tangent(solver, traj, h)
-    d_tan = directional_derivative_via_tangent(traj, tan, targets, weights, v, h)
-    adj = run_adjoint(solver, traj, targets, weights)
-    d_adj = control_inner(reduced_gradient(v, adj, 0.0), h, solver.scheme.dt)
-    gap = abs(d_tan - d_adj) / max(abs(d_tan), abs(d_adj))
-    assert gap <= 2e-2  # continuous-adjoint route: small but not machine zero
-    assert gap > 0.0
+def test_duality_gap_against_tangent(monkeypatch):
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        solver, init, traj, targets = tracking_setup(nt=40)
+        weights = CostWeights(b1=1.0, b2=1.0, b3=1.0, b4=1.0, gamma=0.0)
+        v = zero_control(solver.grid, 40)
+        h = constant_control(solver.grid, 40,
+                             random_solenoidal(solver.grid, 1.0,
+                                               np.random.default_rng(42)))
+        tan = run_tangent(solver, traj, h)
+        d_tan = directional_derivative_via_tangent(traj, tan, targets, weights, v, h)
+        adj = run_adjoint(solver, traj, targets, weights)
+        d_adj = control_inner(reduced_gradient(v, adj, 0.0), h, solver.scheme.dt)
+        gap = abs(d_tan - d_adj) / max(abs(d_tan), abs(d_adj))
+        assert gap <= 2e-2  # continuous-adjoint route: small but not machine zero
+        assert gap > 0.0
 
 
 def test_adjoint_phase_step_is_consistent():

@@ -11,7 +11,7 @@ from nchns import linsolve
 from nchns.linsolve import SolverConvergenceError
 from nchns.presets import scalar_preset, vector_preset
 
-from conftest import solenoidal
+from conftest import SOLVER_PATHS, force_solver_path, solenoidal
 from oracles import fit_slope, pairwise_mixing_energy
 
 
@@ -34,14 +34,16 @@ def default_setup(n=32, dt=5e-5, nt=20, seed=3, lx=1.0):
 
 
 def noisy_solves(solver, monkeypatch):
-    """Perturb the transform output psi of each implicit phase solve by
-    noise of 1e-6 max|psi|, and lift the solve's residual post-condition.
+    """Perturb the output psi of ``_dct_solve`` in each implicit phase
+    solve by noise of 1e-6 max|psi|, and lift the solve's residual
+    post-condition.
 
     The direct solve is exact to round-off, so a solution that did not
     conserve mass would lose only about 1e-15 of it, too little for a test
     to see.  The flux-form rebuild u = b + dt Lap_N psi conserves it
-    whatever psi is.  The pressure solves share the transform and stay
-    exact.
+    whatever psi is.  Only the Helmholtz solves' psi is perturbed: the
+    pressure solves stay exact, and on grids that take the dense path
+    they do not call ``_dct_solve`` at all.
     """
     dct_solve = linsolve._dct_solve
     rng = np.random.default_rng(0)
@@ -89,35 +91,39 @@ def _noisy_velocity(grid, rng, amplitude):
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 100.0])
-def test_project_is_a_linear_projection(amplitude, rng):
+def test_project_is_a_linear_projection(amplitude, rng, monkeypatch):
     grid = Grid2D(24, 40, 2.0, 1.0)
-    solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
-                           Viscosity(), TimeScheme(dt=1e-5, nt=1))
-    u = _noisy_velocity(grid, rng, amplitude)
-    w = _noisy_velocity(grid, rng, amplitude)
-    pu, pw = solver.project(u), solver.project(w)
-    assert np.max(np.abs(divergence_face_to_cc(pu).values)) <= solver.scheme.tol_p
 
     def max_abs(f):
         return max(np.max(np.abs(f.ux)), np.max(np.abs(f.uy)))
 
-    assert max_abs(solver.project(pu) - pu) <= 1e-12 * max_abs(pu)
-    a = -2.5
-    combo = solver.project(a * u + w)
-    assert max_abs(combo - (a * pu + pw)) <= 1e-12 * max_abs(combo)
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                               Viscosity(), TimeScheme(dt=1e-5, nt=1))
+        u = _noisy_velocity(grid, rng, amplitude)
+        w = _noisy_velocity(grid, rng, amplitude)
+        pu, pw = solver.project(u), solver.project(w)
+        assert np.max(np.abs(divergence_face_to_cc(pu).values)) <= solver.scheme.tol_p
+        assert max_abs(solver.project(pu) - pu) <= 1e-12 * max_abs(pu)
+        a = -2.5
+        combo = solver.project(a * u + w)
+        assert max_abs(combo - (a * pu + pw)) <= 1e-12 * max_abs(combo)
 
 
-def test_projection_failure_names_predictor_divergence(rng):
+def test_projection_failure_names_predictor_divergence(rng, monkeypatch):
     # the absolute tol_p is below round-off for this predictor; the error
     # must say so by giving the predictor's own divergence
     grid = Grid2D(24, 40, 2.0, 1.0)
-    solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
-                           Viscosity(), TimeScheme(dt=1e-5, nt=1))
-    u = _noisy_velocity(grid, rng, 1e6)
-    div = np.max(np.abs(divergence_face_to_cc(u).values))
-    with pytest.raises(SolverConvergenceError) as err:
-        solver.project(u)
-    assert f"max|div u*| = {div:.3e}" in str(err.value)
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                               Viscosity(), TimeScheme(dt=1e-5, nt=1))
+        u = _noisy_velocity(grid, rng, 1e6)
+        div = np.max(np.abs(divergence_face_to_cc(u).values))
+        with pytest.raises(SolverConvergenceError) as err:
+            solver.project(u)
+        assert f"max|div u*| = {div:.3e}" in str(err.value)
 
 
 def test_energy_non_increasing():
@@ -199,6 +205,16 @@ def test_initial_data_validation():
     u1.ux[5, 5] = 1.0   # interior divergence
     with pytest.raises(ValueError):
         InitialData(u1, ScalarField.zeros(grid)).validate(1e-10)
+
+
+@pytest.mark.parametrize("dt, tol_p", [(np.nan, 1e-10), (np.inf, 1e-10),
+                                        (-1e-5, 1e-10), (1e-5, np.nan),
+                                        (1e-5, np.inf), (1e-5, 0.0)])
+def test_time_scheme_rejects_bad_dt_and_tol_p(dt, tol_p):
+    # a NaN dt would otherwise fail only at step 0, as a missed Helmholtz
+    # residual of nan
+    with pytest.raises(ValueError, match="finite dt > 0"):
+        TimeScheme(dt=dt, nt=1, tol_p=tol_p)
 
 
 def test_dt_refinement_first_order():
