@@ -68,7 +68,7 @@ def transpose_grad_contract(p: VectorField, grad_u) -> VectorField:
     px, py = vector_to_cc(p)
     tx = px * dux_dx + py * duy_dx
     ty = px * dux_dy + py * duy_dy
-    return cc_components_to_faces(p.grid, tx, ty, boundary="zero")
+    return cc_components_to_faces(p.grid, tx, ty)
 
 
 def face_dot_to_cc(p: VectorField, g: VectorField) -> np.ndarray:

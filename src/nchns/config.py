@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .forward import ForwardSolver, InitialData, TimeScheme
 from .grid import Grid2D
-from .kernels import make_kernel
+from .kernels import KERNEL_FAMILIES, make_kernel
 from .physics import DoubleWell, HypothesisConstants, Viscosity
 from .presets import constant_control, scalar_preset, vector_preset
 from .problem import ControlBounds, ControlProblem, CostWeights, Targets
@@ -38,10 +36,6 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _opt_float(s: str):
-    return None if s.lower() == "none" else float(s)
-
-
 # key -> (parser, default)
 SCHEMA = {
     "grid.nx": (int, 32),
@@ -53,7 +47,6 @@ SCHEMA = {
     "scheme.tol_p": (float, 1e-10),
     "kernel.family": (str, "gaussian"),
     "kernel.width": (float, 0.15),
-    "kernel.core_radius": (float, 0.05),
     "kernel.amplitude": (float, 1.0),
     "kernel.auto_scale": (_bool, True),
     "potential.scale": (float, 1.0),
@@ -70,7 +63,6 @@ SCHEMA = {
     "hypotheses.r": (float, 4.0 / 3.0),
     "init.phi": (str, "uniform(0)"),
     "init.u": (str, "zero"),
-    "sim.control": (str, "zero"),
     "targets.kind": (str, "from_control"),
     "targets.control": (str, "taylor-vortex(0.0015)"),
     "weights.beta1": (float, 1.0),
@@ -80,16 +72,7 @@ SCHEMA = {
     "weights.gamma": (float, 1e-3),
     "bounds.lower": (float, -1.0),
     "bounds.upper": (float, 1.0),
-    "optimizer.max_iter": (int, 100),
-    "optimizer.tol": (_opt_float, None),
-    "optimizer.armijo_c": (float, 1e-4),
-    "optimizer.shrink": (float, 0.5),
-    "optimizer.tau0": (_opt_float, None),
-    "check.direction": (str, "random-solenoidal(1.0, 7)"),
     "check.eps_sweep": (str, "1e-1,1e-2,1e-3,1e-4"),
-    "check.duality_tol": (float, 2e-2),
-    "validate.samples": (int, 8),
-    "output.dir": (str, "nchns-out"),
     "seed": (int, 0),
 }
 
@@ -128,13 +111,11 @@ class RunConfig:
         target = None
         if self["kernel.auto_scale"]:
             target = self["potential.scale"] + self["hypotheses.c1"]
+        if family not in KERNEL_FAMILIES:
+            raise ConfigError(f"kernel.family: unknown family {family!r}")
         params = {"amplitude": self["kernel.amplitude"]}
         if family == "gaussian":
             params["width"] = self["kernel.width"]
-        elif family == "mollified_newtonian":
-            params["core_radius"] = self["kernel.core_radius"]
-        elif family != "delta":
-            raise ConfigError(f"kernel.family: unknown family {family!r}")
         return make_kernel(grid, family, auto_scale_target=target, **params)
 
     def scheme(self) -> TimeScheme:
@@ -223,8 +204,8 @@ def parse_config_text(text: str) -> RunConfig:
 def _validate(cfg: RunConfig):
     """Constraint checks that name the offending key(s); cheap ones only.
 
-    The physics/kernel validators run separately (cmd_validate and at the
-    start of every solve command).
+    The kernel and the solver objects are built, and check themselves, when
+    a materializer such as ``RunConfig.solver`` is called.
     """
     if cfg["grid.nx"] < 4 or cfg["grid.ny"] < 4:
         raise ConfigError("grid.nx/grid.ny must be at least 4")
@@ -241,7 +222,7 @@ def _validate(cfg: RunConfig):
         cfg.weights()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["kernel.family"] not in ("gaussian", "mollified_newtonian", "delta"):
+    if cfg["kernel.family"] not in KERNEL_FAMILIES:
         raise ConfigError(
             f"kernel.family: unknown family {cfg['kernel.family']!r}")
 
@@ -256,8 +237,6 @@ def parse_config(path) -> RunConfig:
 
 
 def _fmt_value(v) -> str:
-    if v is None:
-        return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

@@ -60,6 +60,8 @@ class TimeScheme:
     tol_p: float = 1e-10          # max |div u| after projection
 
     def __post_init__(self):
+        if isinstance(self.nt, bool) or not isinstance(self.nt, (int, np.integer)):
+            raise ValueError(f"nt must be an integer step count, got {self.nt!r}")
         # written so that a NaN, for which every comparison is False, fails
         if not (0.0 < self.dt < np.inf and 0.0 < self.tol_p < np.inf) or self.nt < 1:
             raise ValueError("need finite dt > 0, finite tol_p > 0 and nt >= 1, got "

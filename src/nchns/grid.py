@@ -302,18 +302,16 @@ def vector_to_cc(w: VectorField):
     return wx, wy
 
 
-def cc_components_to_faces(grid: Grid2D, tx: np.ndarray, ty: np.ndarray,
-                           boundary: str = "zero") -> VectorField:
-    """Interpolate cell-centered vector components onto faces."""
+def cc_components_to_faces(grid: Grid2D, tx: np.ndarray,
+                           ty: np.ndarray) -> VectorField:
+    """Interpolate cell-centered vector components onto interior faces.
+
+    The boundary-normal faces are zero, as for a no-slip field.
+    """
     ux = np.zeros((grid.nx + 1, grid.ny))
     uy = np.zeros((grid.nx, grid.ny + 1))
     ux[1:-1, :] = 0.5 * (tx[1:, :] + tx[:-1, :])
     uy[:, 1:-1] = 0.5 * (ty[:, 1:] + ty[:, :-1])
-    if boundary == "edge":
-        ux[0, :] = tx[0, :]
-        ux[-1, :] = tx[-1, :]
-        uy[:, 0] = ty[:, 0]
-        uy[:, -1] = ty[:, -1]
     return VectorField(grid, ux, uy)
 
 
@@ -358,23 +356,16 @@ def sym_gradient(u: VectorField) -> TensorField:
     return TensorField(g, dxx, dxy, dyy)
 
 
-def full_gradient_cc(u: VectorField, noslip: bool = True):
-    """All four entries of grad u at cell centers.
+def full_gradient_cc(u: VectorField):
+    """All four entries of grad u at cell centers, for a no-slip field.
 
-    Returns (dux_dx, dux_dy, duy_dx, duy_dy).  With ``noslip=False`` the
-    off-diagonal node stencils use edge replication instead of reflection
-    (for fields that do not vanish on the boundary).
+    Returns (dux_dx, dux_dy, duy_dx, duy_dy); the off-diagonal entries use
+    the reflection ghosts of ``sym_gradient``.
     """
     g = u.grid
     dxx = (u.ux[1:, :] - u.ux[:-1, :]) / g.dx
     dyy = (u.uy[:, 1:] - u.uy[:, :-1]) / g.dy
-    if noslip:
-        duxdy, duydx = _node_shear_rates(u)
-    else:
-        uxp = np.pad(u.ux, ((0, 0), (1, 1)), mode="edge")
-        duxdy = (uxp[:, 1:] - uxp[:, :-1]) / g.dy
-        uyp = np.pad(u.uy, ((1, 1), (0, 0)), mode="edge")
-        duydx = (uyp[1:, :] - uyp[:-1, :]) / g.dx
+    duxdy, duydx = _node_shear_rates(u)
     return dxx, _nodes_to_cc(duxdy), _nodes_to_cc(duydx), dyy
 
 

@@ -1,14 +1,17 @@
-"""Constitutive laws and executable validators for the model hypotheses.
+"""Constitutive laws, the hypothesis constants and the chemical potential.
 
 The regular double-well potential and the bounded smooth viscosity profile
-are the two material laws; the validators sample the three growth/coercivity
-conditions on the potential against the kernel's mass field and the bounds on
-the viscosity, reporting worst-case sample points instead of raising.
+are the two material laws, each with the derivatives that the tangent and
+adjoint solvers use.  ``HypothesisConstants`` holds the constants of the
+growth/coercivity conditions on the potential.  Callers scale the kernel
+with ``make_kernel(..., auto_scale_target=scale + c1)`` so that
+a + F'' >= c1, which the adjoint checks on the state at every step; the test
+suite samples the other conditions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +45,6 @@ class DoubleWell:
     def d2f(self, s):
         return self.scale * (3.0 * s ** 2 - 1.0)
 
-    def d3f(self, s):
-        return self.scale * 6.0 * s
-
-    def d4f(self, s):
-        return self.scale * 6.0 * np.ones_like(np.asarray(s, dtype=float))
-
 
 @dataclass(frozen=True)
 class Viscosity:
@@ -79,10 +76,6 @@ class Viscosity:
 
     def dnu(self, s):
         return self.modulation / np.cosh(s) ** 2
-
-    def d2nu(self, s):
-        t = np.tanh(s)
-        return -2.0 * self.modulation * t * (1.0 - t ** 2)
 
 
 @dataclass(frozen=True)
@@ -116,86 +109,3 @@ def chemical_potential(phi: ScalarField, kernel: Kernel,
     a = kernel.mass_field.values
     values = a * phi.values - convolve(kernel, phi).values + potential.df(phi.values)
     return ScalarField(phi.grid, values)
-
-
-@dataclass
-class ConditionResult:
-    name: str
-    passed: bool
-    margin: float
-    worst_s: float
-    detail: str = ""
-
-
-@dataclass
-class HypothesisReport:
-    conditions: list = field(default_factory=list)
-    s_interval: tuple = (-10.0, 10.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def lines(self):
-        out = [f"validated on s in [{self.s_interval[0]:g}, {self.s_interval[1]:g}]"]
-        for c in self.conditions:
-            status = "pass" if c.passed else "FAIL"
-            out.append(f"  [{status}] {c.name}: margin {c.margin:+.4e} "
-                       f"(worst at s = {c.worst_s:+.4f}) {c.detail}")
-        return out
-
-
-def validate_potential_conditions(potential: DoubleWell, kernel: Kernel,
-                                  constants: HypothesisConstants,
-                                  s_range=(-10.0, 10.0),
-                                  n_samples: int = 10_000) -> HypothesisReport:
-    """Sample the three conditions on F against the kernel's mass field.
-
-    The conditions are stated for all real s; this checks them densely on a
-    finite interval (recorded in the report) using min_x a(x), which is the
-    worst case in x for all three.
-    """
-    s = np.linspace(s_range[0], s_range[1], n_samples)
-    a_min = float(kernel.mass_field.values.min())
-    c = constants
-    report = HypothesisReport(s_interval=tuple(s_range))
-
-    m1 = potential.d2f(s) + a_min - c.c1
-    i1 = int(np.argmin(m1))
-    report.conditions.append(ConditionResult(
-        "coercivity F'' + a >= c1", bool(m1[i1] >= 0), float(m1[i1]), float(s[i1]),
-        detail=f"min_x a = {a_min:.4f}"))
-
-    m2 = potential.d2f(s) + a_min - (c.c2 * np.abs(s) ** (c.p - 2.0) - c.c3)
-    i2 = int(np.argmin(m2))
-    report.conditions.append(ConditionResult(
-        "growth F'' + a >= c2|s|^(p-2) - c3", bool(m2[i2] >= 0), float(m2[i2]),
-        float(s[i2]), detail=f"p = {c.p:g}"))
-
-    m3 = c.c4 * np.abs(potential.f(s)) + c.c5 - np.abs(potential.df(s)) ** c.r
-    i3 = int(np.argmin(m3))
-    report.conditions.append(ConditionResult(
-        "control |F'|^r <= c4|F| + c5", bool(m3[i3] >= 0), float(m3[i3]),
-        float(s[i3]), detail=f"r = {c.r:g}"))
-    return report
-
-
-def validate_viscosity_bounds(viscosity: Viscosity, s_range=(-10.0, 10.0),
-                              n_samples: int = 10_000) -> HypothesisReport:
-    """Analytic range check plus dense sampling of the viscosity profile."""
-    report = HypothesisReport(s_interval=tuple(s_range))
-    lo = viscosity.mean - abs(viscosity.modulation)
-    hi = viscosity.mean + abs(viscosity.modulation)
-    report.conditions.append(ConditionResult(
-        "analytic bounds nu_min <= nu <= nu_max",
-        bool(lo >= viscosity.nu_min and hi <= viscosity.nu_max),
-        float(min(lo - viscosity.nu_min, viscosity.nu_max - hi)),
-        float("inf"), detail=f"range [{lo:g}, {hi:g}]"))
-
-    s = np.linspace(s_range[0], s_range[1], n_samples)
-    nu = viscosity.nu(s)
-    m = np.minimum(nu - viscosity.nu_min, viscosity.nu_max - nu)
-    i = int(np.argmin(m))
-    report.conditions.append(ConditionResult(
-        "sampled bounds", bool(m[i] >= 0), float(m[i]), float(s[i])))
-    return report

@@ -1,8 +1,12 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is written as plain loops or direct summation so it shares
-no code path with the package's fast implementations.
+no code path with the package's fast implementations.  The hypothesis checks
+at the end sample the paper's conditions on a kernel, a potential and a
+viscosity profile; the solvers never read them.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +38,21 @@ def direct_grad_dot_convolution(kernel, qx_cc, qy_cc):
             sly = kernel.gy_stencil[i:i + nx, j:j + ny][::-1, ::-1]
             out[i, j] = np.sum(slx * qx_cc) + np.sum(sly * qy_cc)
     return out * kernel.grid.cell_volume
+
+
+def _edge_faces(tx, ty):
+    """Cell-centered components averaged to faces; a boundary face copies its cell."""
+    ux = np.concatenate([tx[:1], 0.5 * (tx[1:] + tx[:-1]), tx[-1:]], axis=0)
+    uy = np.concatenate([ty[:, :1], 0.5 * (ty[:, 1:] + ty[:, :-1]), ty[:, -1:]],
+                        axis=1)
+    return ux, uy
+
+
+def direct_grad_convolution(kernel, phi_values):
+    """(grad K * phi) on faces as (ux, uy), by direct sums over the gradient
+    stencils at cell centers, averaged to faces by ``_edge_faces``."""
+    return _edge_faces(direct_convolution(kernel, phi_values, kernel.gx_stencil),
+                       direct_convolution(kernel, phi_values, kernel.gy_stencil))
 
 
 def direct_neumann_laplacian(v, dx, dy):
@@ -186,3 +205,155 @@ def quadrature_cost(traj, v, targets, weights):
 def fit_slope(xs, ys):
     """Least-squares log-log slope."""
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# hypothesis checks: the paper's conditions on the kernel, the potential and
+# the viscosity, sampled and reported rather than raised
+
+@dataclass
+class AdmissibilityReport:
+    symmetric: bool
+    max_asymmetry: float
+    mass_nonnegative: bool
+    mass_min: float
+    smoothing_ratio: float
+    ratios: list
+
+    @property
+    def passed(self) -> bool:
+        return self.symmetric and self.mass_nonnegative
+
+
+def _edge_gradient_norm(ux, uy, dx, dy, vol):
+    """L2 norm of grad w for face components that need not vanish on the walls.
+
+    The diagonal entries difference across cells; the off-diagonal ones
+    difference at nodes, replicating the edge faces outside, and are averaged
+    to cell centers.
+    """
+    def nodes_to_cc(n):
+        return 0.25 * (n[1:, 1:] + n[1:, :-1] + n[:-1, 1:] + n[:-1, :-1])
+
+    duxdy = np.diff(np.pad(ux, ((0, 0), (1, 1)), mode="edge"), axis=1) / dy
+    duydx = np.diff(np.pad(uy, ((1, 1), (0, 0)), mode="edge"), axis=0) / dx
+    comps = (np.diff(ux, axis=0) / dx, nodes_to_cc(duxdy), nodes_to_cc(duydx),
+             np.diff(uy, axis=1) / dy)
+    return float(np.sqrt(sum(np.sum(c ** 2) for c in comps) * vol))
+
+
+def check_admissibility(kernel, samples=8, rng=None):
+    """Empirical check of the admissible-kernel properties.
+
+    Verifies the tabulated symmetry K(z) = K(-z) and a(x) >= 0 exactly, and
+    estimates sup ||grad(grad K * psi)||_2 / ||psi||_2 over random unit-norm
+    psi at the kernel's grid resolution, with grad K * psi from
+    ``direct_grad_convolution``.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    flip = kernel.stencil[::-1, ::-1]
+    max_asym = float(np.max(np.abs(kernel.stencil - flip)))
+    scale = float(np.max(np.abs(kernel.stencil))) or 1.0
+    symmetric = max_asym <= 1e-12 * scale
+    mass_min = float(kernel.mass_field.values.min())
+    mass_ok = mass_min >= -1e-12
+
+    grid = kernel.grid
+    X, Y = grid.cell_centers()
+    ratios = []
+    for _ in range(samples):
+        # smooth random probes (fixed physical modes) so the estimated
+        # quotient is comparable across grid refinements
+        vals = np.zeros((grid.nx, grid.ny))
+        for kx in range(4):
+            for ky in range(4):
+                vals += rng.standard_normal() * np.cos(np.pi * kx * X / grid.lx) \
+                    * np.cos(np.pi * ky * Y / grid.ly)
+        ux, uy = direct_grad_convolution(kernel, vals)
+        gnorm = _edge_gradient_norm(ux, uy, grid.dx, grid.dy, grid.cell_volume)
+        ratios.append(gnorm / float(np.sqrt(np.sum(vals ** 2) * grid.cell_volume)))
+    return AdmissibilityReport(symmetric, max_asym, mass_ok, mass_min,
+                               max(ratios), ratios)
+
+
+@dataclass
+class ConditionResult:
+    name: str
+    passed: bool
+    margin: float
+    worst_s: float
+    detail: str = ""
+
+
+@dataclass
+class HypothesisReport:
+    conditions: list = field(default_factory=list)
+    s_interval: tuple = (-10.0, 10.0)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.conditions)
+
+    def lines(self):
+        out = [f"validated on s in [{self.s_interval[0]:g}, {self.s_interval[1]:g}]"]
+        for c in self.conditions:
+            status = "pass" if c.passed else "FAIL"
+            out.append(f"  [{status}] {c.name}: margin {c.margin:+.4e} "
+                       f"(worst at s = {c.worst_s:+.4f}) {c.detail}")
+        return out
+
+
+def validate_potential_conditions(potential, kernel, constants,
+                                  s_range=(-10.0, 10.0), n_samples=10_000):
+    """Sample the three conditions on F against the kernel's mass field.
+
+    The conditions are stated for all real s; this checks them densely on a
+    finite interval (recorded in the report) using min_x a(x), which is the
+    worst case in x for all three.
+    """
+    s = np.linspace(s_range[0], s_range[1], n_samples)
+    a_min = float(kernel.mass_field.values.min())
+    c = constants
+    report = HypothesisReport(s_interval=tuple(s_range))
+
+    m1 = potential.d2f(s) + a_min - c.c1
+    i1 = int(np.argmin(m1))
+    report.conditions.append(ConditionResult(
+        "coercivity F'' + a >= c1", bool(m1[i1] >= 0), float(m1[i1]), float(s[i1]),
+        detail=f"min_x a = {a_min:.4f}"))
+
+    m2 = potential.d2f(s) + a_min - (c.c2 * np.abs(s) ** (c.p - 2.0) - c.c3)
+    i2 = int(np.argmin(m2))
+    report.conditions.append(ConditionResult(
+        "growth F'' + a >= c2|s|^(p-2) - c3", bool(m2[i2] >= 0), float(m2[i2]),
+        float(s[i2]), detail=f"p = {c.p:g}"))
+
+    m3 = c.c4 * np.abs(potential.f(s)) + c.c5 - np.abs(potential.df(s)) ** c.r
+    i3 = int(np.argmin(m3))
+    report.conditions.append(ConditionResult(
+        "control |F'|^r <= c4|F| + c5", bool(m3[i3] >= 0), float(m3[i3]),
+        float(s[i3]), detail=f"r = {c.r:g}"))
+    return report
+
+
+def validate_viscosity_bounds(viscosity, s_range=(-10.0, 10.0), n_samples=10_000):
+    """Analytic range check plus dense sampling of the viscosity profile."""
+    report = HypothesisReport(s_interval=tuple(s_range))
+    lo = viscosity.mean - abs(viscosity.modulation)
+    hi = viscosity.mean + abs(viscosity.modulation)
+    report.conditions.append(ConditionResult(
+        "analytic bounds nu_min <= nu <= nu_max",
+        bool(lo >= viscosity.nu_min and hi <= viscosity.nu_max),
+        float(min(lo - viscosity.nu_min, viscosity.nu_max - hi)),
+        float("inf"), detail=f"range [{lo:g}, {hi:g}]"))
+
+    s = np.linspace(s_range[0], s_range[1], n_samples)
+    nu = viscosity.nu(s)
+    m = np.minimum(nu - viscosity.nu_min, viscosity.nu_max - nu)
+    i = int(np.argmin(m))
+    report.conditions.append(ConditionResult(
+        "sampled bounds", bool(m[i] >= 0), float(m[i]), float(s[i])))
+    return report

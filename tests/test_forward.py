@@ -217,6 +217,17 @@ def test_time_scheme_rejects_bad_dt_and_tol_p(dt, tol_p):
         TimeScheme(dt=dt, nt=1, tol_p=tol_p)
 
 
+@pytest.mark.parametrize("nt", [2.5, True])
+def test_time_scheme_rejects_non_integer_nt(nt):
+    # a float or bool nt would otherwise pass and fail later as a bare TypeError
+    with pytest.raises(ValueError, match="nt must be an integer"):
+        TimeScheme(dt=1e-5, nt=nt)
+
+
+def test_time_scheme_accepts_numpy_integer_nt():
+    assert TimeScheme(dt=1e-5, nt=np.int64(3)).final_time == 1e-5 * 3
+
+
 def test_dt_refinement_first_order():
     diffs = []
     for dt, nt in ((4e-5, 25), (2e-5, 50), (1e-5, 100)):
