@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forward import ForwardSolver, InitialData, TimeScheme
+from .forward import ForwardSolver, InitialData, TimeScheme, zero_control
 from .grid import Grid2D
 from .kernels import KERNEL_FAMILIES, make_kernel
 from .physics import DoubleWell, HypothesisConstants, Viscosity
@@ -149,7 +149,7 @@ class RunConfig:
         if kind == "resting":
             return Targets.resting(solver.grid, nt)
         if kind == "self":
-            traj = solver.run([vector_preset(solver.grid, "zero")] * nt, init)
+            traj = solver.run(zero_control(solver.grid, nt), init)
             return Targets.from_trajectory(traj)
         if kind == "from_control":
             v = constant_control(solver.grid, nt,

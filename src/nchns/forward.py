@@ -28,7 +28,8 @@ import numpy as np
 from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
                    gradient_cc_to_face, inner_product_l2, integral,
-                   laplacian_neumann_array, scalar_to_xfaces, scalar_to_yfaces)
+                   laplacian_neumann_array, read_only, scalar_to_xfaces,
+                   scalar_to_yfaces)
 from .kernels import Kernel, convolve
 from .linsolve import (HelmholtzNeumannSolver, NeumannPoissonSolver,
                        SolverConvergenceError)
@@ -111,7 +112,12 @@ class StateTrajectory:
 
 
 def zero_control(grid: Grid2D, nt: int):
-    return [VectorField.zeros(grid) for _ in range(nt)]
+    """The zero control: nt references to one shared, read-only zero field.
+
+    A caller who wants to edit one step builds a list of copies,
+    ``[v.copy() for v in zero_control(grid, nt)]``.
+    """
+    return [read_only(VectorField.zeros(grid))] * nt
 
 
 def kelvin_force(mu: ScalarField, grad_phi: VectorField) -> VectorField:

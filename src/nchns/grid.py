@@ -202,6 +202,18 @@ class TensorField:
     yy: np.ndarray
 
 
+def read_only(field):
+    """Make a scalar or vector field's arrays read-only; returns the field.
+
+    A level shared by many time steps is marked so: a write into it raises
+    ``ValueError`` rather than changing every step that holds it.
+    """
+    arrays = (field.values,) if isinstance(field, ScalarField) else (field.ux, field.uy)
+    for a in arrays:
+        a.flags.writeable = False
+    return field
+
+
 # ---------------------------------------------------------------------------
 # first-order building blocks
 

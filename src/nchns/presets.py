@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, VectorField
+from .grid import Grid2D, ScalarField, VectorField, read_only
 
 _PRESET_RE = re.compile(r"^\s*([a-zA-Z_][\w-]*)\s*(?:\(([^)]*)\))?\s*$")
 
@@ -106,5 +106,10 @@ def random_solenoidal(grid: Grid2D, amplitude: float,
 
 
 def constant_control(grid: Grid2D, nt: int, field: VectorField):
-    """Time-constant control trajectory repeating one spatial field."""
-    return [field.copy() for _ in range(nt)]
+    """Time-constant control: nt references to one read-only copy of ``field``.
+
+    ``field`` itself is copied once and stays writable.  The shared level
+    cannot be written; a caller who wants to edit one step builds a list of
+    copies, ``[v.copy() for v in constant_control(grid, nt, field)]``.
+    """
+    return [read_only(field.copy())] * nt

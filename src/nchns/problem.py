@@ -5,6 +5,10 @@ acts on the step from t_k to t_{k+1}, and a running target is compared with
 the state at that step's lower level t_k (the left rectangle rule).
 ``tracking_terms`` is the one definition of the discrete tracking cost: the
 cost, its tangent derivative and the adjoint's sources all read it.
+
+A level that is the same at every step (a resting target, a constant box)
+is stored once: the list holds nt references to one read-only field, and
+the checks visit each distinct level once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, VectorField, divergence_face_to_cc
+from .grid import Grid2D, ScalarField, VectorField, divergence_face_to_cc, read_only
+
+
+def _once(items, key=id):
+    """``items`` in order, each object (or tuple of objects) only once."""
+    return {key(x): x for x in items}.values()
 
 
 @dataclass(frozen=True)
@@ -39,7 +48,9 @@ class Targets:
     """Running targets per step (nt entries) plus terminal targets.
 
     Entry k is compared with the state at level k, the lower level of step
-    k; the terminal targets are compared with the state at level nt.
+    k; the terminal targets are compared with the state at level nt.  Entries
+    may be one shared level, which is then read-only (see ``resting``); a
+    caller who wants to edit one step builds a list of copies.
     """
 
     u_running: list
@@ -55,17 +66,27 @@ class Targets:
 
     @classmethod
     def resting(cls, grid: Grid2D, nt: int, phi_value: float = 0.0) -> "Targets":
-        return cls([VectorField.zeros(grid) for _ in range(nt)],
-                   [ScalarField.full(grid, phi_value) for _ in range(nt)],
-                   VectorField.zeros(grid), ScalarField.full(grid, phi_value))
+        """Fluid at rest and a uniform phase, at every step and at the end.
+
+        One read-only velocity level and one read-only phase level serve
+        all nt steps and the terminal targets; to edit one step, build lists
+        of copies, ``[w.copy() for w in targets.u_running]``.
+        """
+        u = read_only(VectorField.zeros(grid))
+        phi = read_only(ScalarField.full(grid, phi_value))
+        return cls([u] * nt, [phi] * nt, u, phi)
 
     def validate(self, grid: Grid2D, nt: int, tol_p: float):
+        """Check lengths, grids and the velocity targets' divergence.
+
+        A level shared by several entries is checked once.
+        """
         if len(self.u_running) != nt or len(self.phi_running) != nt:
             raise ValueError("running targets must have one entry per time step")
-        for w in list(self.phi_running) + [self.phi_terminal]:
+        for w in _once([*self.phi_running, self.phi_terminal]):
             if w.grid != grid:
                 raise ValueError("phase target grid mismatch")
-        for w in list(self.u_running) + [self.u_terminal]:
+        for w in _once([*self.u_running, self.u_terminal]):
             if w.grid != grid:
                 raise ValueError("velocity target grid mismatch")
             dmax = float(np.max(np.abs(divergence_face_to_cc(w).values)))
@@ -99,25 +120,46 @@ def tracking_terms(traj, targets: Targets, weights: CostWeights):
 
 @dataclass
 class ControlBounds:
-    """Componentwise bounds per step: lower[k] <= v[k] <= upper[k] on faces."""
+    """Componentwise bounds per step: lower[k] <= v[k] <= upper[k] on faces.
+
+    A bound may be infinite (a one-sided box) but never NaN.  Entries may be
+    one shared level, which is then read-only (see ``constant``); a caller
+    who wants to edit one step builds a list of copies.
+    """
 
     lower: list
     upper: list
 
     @classmethod
     def constant(cls, grid: Grid2D, nt: int, lo: float, hi: float) -> "ControlBounds":
+        """The box [lo, hi] on every face: one read-only level per side.
+
+        To edit one step, build lists of copies,
+        ``[b.copy() for b in bounds.lower]``.
+        """
+        for name, c in (("lower", lo), ("upper", hi)):
+            if np.isnan(c):
+                raise ValueError(f"{name} bound is NaN")
         if lo > hi:
             raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-        mk = lambda c: VectorField(grid, np.full((grid.nx + 1, grid.ny), c),
-                                   np.full((grid.nx, grid.ny + 1), c))
-        return cls([mk(lo) for _ in range(nt)], [mk(hi) for _ in range(nt)])
+        mk = lambda c: read_only(VectorField(grid, np.full((grid.nx + 1, grid.ny), c),
+                                             np.full((grid.nx, grid.ny + 1), c)))
+        return cls([mk(lo)] * nt, [mk(hi)] * nt)
 
     def validate(self, grid: Grid2D):
+        """Check lengths, grids, NaNs and lower <= upper.
+
+        A pair of levels shared by several steps is checked once.
+        """
         if len(self.lower) != len(self.upper):
             raise ValueError("bound trajectories must have equal length")
-        for lo, hi in zip(self.lower, self.upper):
+        for lo, hi in _once(zip(self.lower, self.upper),
+                            key=lambda pair: (id(pair[0]), id(pair[1]))):
             if lo.grid != grid or hi.grid != grid:
                 raise ValueError("bound grid mismatch")
+            for name, b in (("lower", lo), ("upper", hi)):
+                if np.isnan(b.ux).any() or np.isnan(b.uy).any():
+                    raise ValueError(f"{name} bound is NaN somewhere")
             if np.any(lo.ux > hi.ux) or np.any(lo.uy > hi.uy):
                 raise ValueError("lower bound exceeds upper bound somewhere")
 

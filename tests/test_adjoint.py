@@ -7,7 +7,7 @@ import pytest
 
 import nchns
 
-from nchns import (CFLViolationError, ControlProblem, CostWeights, DoubleWell,
+from nchns import (CFLViolationError, CostWeights, DoubleWell,
                    ForwardSolver, Grid2D, InitialData, ScalarField,
                    StepFailureError, Targets, TimeScheme, VectorField,
                    Viscosity, control_inner, directional_derivative_via_tangent,

@@ -11,7 +11,7 @@ from nchns import linsolve
 from nchns.linsolve import SolverConvergenceError
 from nchns.presets import scalar_preset, vector_preset
 
-from conftest import SOLVER_PATHS, force_solver_path, solenoidal
+from conftest import SOLVER_PATHS, force_solver_path
 from oracles import fit_slope, pairwise_mixing_energy
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nchns import (ControlBounds, ControlProblem, CostWeights, Grid2D,
-                   InitialData, ScalarField, Targets, VectorField,
-                   complementarity_violation, control_inner, control_norm,
+                   ScalarField, Targets, VectorField,
+                   complementarity_violation, control_inner,
                    directional_derivative_via_tangent, evaluate_cost,
                    kkt_residual, project_box, projected_gradient_descent,
                    reduced_gradient, run_adjoint, run_tangent, taylor_test,
