@@ -16,7 +16,8 @@ from outside and live with the tests, in ``tests/oracles.py``.
 from .grid import (Grid2D, ScalarField, TensorField, VectorField,
                    advect_scalar, advect_vector, divergence_face_to_cc,
                    div_viscous_stress, gradient_cc_to_face, inner_product_l2,
-                   integral, laplacian_neumann, norm_l2, sym_gradient)
+                   integral, laplacian_neumann, node_shear_rates, norm_l2,
+                   sym_gradient)
 from .kernels import Kernel, convolve, grad_dot_convolve, make_kernel
 from .physics import DoubleWell, HypothesisConstants, Viscosity, chemical_potential
 from .forward import (CFLViolationError, ForwardSolver, InitialData,

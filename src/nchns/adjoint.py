@@ -18,8 +18,15 @@ forward-parabolic, so one backward step applies
   every eigenvalue lam >= 0 of -Lap_N.  The bounded nonlocal term
   grad K .* grad q, the transport and all velocity couplings are explicit.
 
-Each step evaluates the state's face gradient grad phi_n and its cell
-velocity gradient grad u_n once and shares them between the terms.
+Each step evaluates the state's face gradient grad phi_n, its cell
+velocity gradient grad u_n and the face gradient of aphi_{n+1} once and
+shares them between the terms.  The velocity operators read a velocity's
+node shear rates (``grid.node_shear_rates``) next to the velocity.  A step
+takes those of u_n for grad u_n, and those of the new au_n for the
+viscous coupling 2 nu'(phi) D(u) : D(au); it returns the latter with au_n,
+and the step below reads them as the rates of its au_next in the adjoint
+stress and transport.  So each adjoint level is differenced once, as the
+tangent hands its dmu down.
 
 Each term of ``problem.tracking_terms`` adds weight * residual at its
 level as a source.  The terminal adjoint is the level-nt sources (the
@@ -39,7 +46,8 @@ from .forward import (CFLViolationError, ForwardSolver, StateTrajectory,
 from .grid import (Grid2D, ScalarField, VectorField, advect_vector,
                    cc_components_to_faces, div_viscous_stress,
                    full_gradient_cc, gradient_cc_to_face,
-                   laplacian_neumann_array, sym_gradient, vector_to_cc)
+                   laplacian_neumann_array, node_shear_rates, sym_gradient,
+                   vector_to_cc)
 from .kernels import convolve, grad_dot_convolve
 from .linsolve import HelmholtzNeumannSolver, SolverConvergenceError
 from .problem import CostWeights, Targets, tracking_terms
@@ -62,7 +70,7 @@ class AdjointTrajectory:
 def transpose_grad_contract(p: VectorField, grad_u) -> VectorField:
     """(p . grad^T u)_j = sum_i p_i d_j u_i, assembled at faces via centers.
 
-    ``grad_u`` is ``full_gradient_cc(u)`` of a no-slip velocity u.
+    ``grad_u`` is ``full_gradient_cc`` of a no-slip velocity u.
     """
     dux_dx, dux_dy, duy_dx, duy_dy = grad_u
     px, py = vector_to_cc(p)
@@ -85,13 +93,16 @@ class AdjointSolver:
         self.fwd = forward
 
     def step_back(self, state_u: VectorField, state_phi: ScalarField,
-                  state_mu: ScalarField, au_next: VectorField,
+                  state_mu: ScalarField, au_next: VectorField, au_next_rates,
                   aphi_next: ScalarField, u_source: VectorField,
                   phi_source: ScalarField):
-        """One reversed-time step; returns (au, aphi) at the lower level.
+        """One reversed-time step; returns (au, aphi, au_rates) at the lower level.
 
-        The lower level's tracking sources (w * r, or None for none) are
-        added to the adjoint velocity and phase as they are updated.
+        ``au_next_rates`` is ``node_shear_rates(au_next)``, the ``au_rates``
+        of the step above; ``au_rates`` is ``node_shear_rates(au)``, handed
+        to the step below.  The lower level's tracking sources (w * r, or
+        None for none) are added to the adjoint velocity and phase as they
+        are updated.
         """
         fwd = self.fwd
         dt = fwd.scheme.dt
@@ -99,16 +110,17 @@ class AdjointSolver:
         fwd.check_cfl(state_u)
 
         gphi = gradient_cc_to_face(state_phi)
-        grad_u = full_gradient_cc(state_u)
+        grad_u = full_gradient_cc(state_u, node_shear_rates(state_u))
 
         # adjoint momentum: explicit update in reversed time, then projection
         nu_cc = ScalarField(grid, fwd.viscosity.nu(state_phi.values))
-        rhs = (div_viscous_stress(nu_cc, au_next)
-               + advect_vector(state_u, au_next)
-               - transpose_grad_contract(au_next, grad_u)
-               - kelvin_force(aphi_next, gphi))
+        rhs = div_viscous_stress(nu_cc, au_next, au_next_rates)
+        rhs += advect_vector(state_u, au_next, au_next_rates)
+        rhs -= transpose_grad_contract(au_next, grad_u)
+        rhs -= kelvin_force(aphi_next, gphi)
         au = fwd.advance_velocity(
             au_next if u_source is None else au_next + u_source, rhs)
+        au_rates = node_shear_rates(au)
 
         # adjoint phase: constant part of the stiff diffusion implicit;
         # its variable remainder and all couplings explicit
@@ -119,14 +131,15 @@ class AdjointSolver:
                              + d2f * w.values)
         # 2 nu'(phi) D(u) : D(au); 2 D(u)_xy is the sum of the shear rates
         dux_dx, dux_dy, duy_dx, duy_dy = grad_u
-        d_adj = sym_gradient(au)
+        d_adj = sym_gradient(au, au_rates)
         visc_coupling = 2.0 * fwd.viscosity.dnu(state_phi.values) * (
             dux_dx * d_adj.xx + (dux_dy + duy_dx) * d_adj.xy
             + duy_dy * d_adj.yy)
-        transport = face_dot_to_cc(state_u, gradient_cc_to_face(aphi_next))
+        gaphi = gradient_cc_to_face(aphi_next)
+        transport = face_dot_to_cc(state_u, gaphi)
         mu_coupling = face_dot_to_cc(au, gradient_cc_to_face(state_mu))
 
-        explicit = (grad_dot_convolve(fwd.kernel, aphi_next).values
+        explicit = (grad_dot_convolve(fwd.kernel, gaphi).values
                     + transport - visc_coupling + nonlocal_coupling - mu_coupling)
 
         c_tilde = fwd.kernel.mass_field.values + d2f
@@ -141,7 +154,7 @@ class AdjointSolver:
             rhs_phase += phi_source.values
         solver = HelmholtzNeumannSolver(grid, c_bar, dt)
         aphi_vals, _ = solver.solve(rhs_phase, atol=fwd._atol(rhs_phase))
-        return au, ScalarField(grid, aphi_vals)
+        return au, ScalarField(grid, aphi_vals), au_rates
 
     def run(self, traj: StateTrajectory, targets: Targets,
             weights: CostWeights) -> AdjointTrajectory:
@@ -168,11 +181,12 @@ class AdjointSolver:
         u_src, phi_src = sources(nt)     # the terminal adjoint, u projected
         au[nt] = VectorField.zeros(fwd.grid) if u_src is None else fwd.project(u_src)
         aphi[nt] = ScalarField.zeros(fwd.grid) if phi_src is None else phi_src
+        rates = node_shear_rates(au[nt])
         for n in range(nt - 1, -1, -1):
             try:
-                au[n], aphi[n] = self.step_back(
-                    traj.u[n], traj.phi[n], traj.mu[n], au[n + 1], aphi[n + 1],
-                    *sources(n))
+                au[n], aphi[n], rates = self.step_back(
+                    traj.u[n], traj.phi[n], traj.mu[n], au[n + 1], rates,
+                    aphi[n + 1], *sources(n))
             except (CFLViolationError, SolverConvergenceError,
                     StepFailureError) as exc:
                 raise StepFailureError(str(exc), step=n) from exc

@@ -28,8 +28,8 @@ import numpy as np
 from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
                    gradient_cc_to_face, inner_product_l2, integral,
-                   laplacian_neumann_array, read_only, scalar_to_xfaces,
-                   scalar_to_yfaces)
+                   laplacian_neumann_array, node_shear_rates, read_only,
+                   scalar_to_xfaces, scalar_to_yfaces)
 from .kernels import Kernel, convolve
 from .linsolve import (HelmholtzNeumannSolver, NeumannPoissonSolver,
                        SolverConvergenceError)
@@ -131,6 +131,20 @@ def kelvin_force(mu: ScalarField, grad_phi: VectorField) -> VectorField:
     return VectorField(grad_phi.grid, fx, fy)
 
 
+def stress_minus_advection(nu_cc: ScalarField, w: VectorField, a: VectorField,
+                           require_positive: bool = True) -> VectorField:
+    """2 div(nu D w) - (a . grad) w on faces: the two terms that difference w.
+
+    Both read the node shear rates of w, taken once here and freed on
+    return, so a step that differences two velocities holds one record at
+    a time.
+    """
+    rates = node_shear_rates(w)
+    out = div_viscous_stress(nu_cc, w, rates, require_positive)
+    out -= advect_vector(a, w, rates)
+    return out
+
+
 def total_energy(u: VectorField, phi: ScalarField, kernel: Kernel,
                  potential: DoubleWell):
     """(kinetic, nonlocal mixing, bulk) energies; mixing uses the identity
@@ -174,15 +188,23 @@ class ForwardSolver:
         return 1e-13 * float(np.max(np.abs(b)))
 
     def check_cfl(self, u: VectorField):
+        """Raise ``CFLViolationError`` unless dt meets both stability bounds.
+
+        The advective error names max|u|.  A velocity with a NaN or an
+        infinite face has no stable step, and the check is written so that
+        it fails too: every comparison with a NaN is False.
+        """
         dt, g = self.scheme.dt, self.grid
         h = min(g.dx, g.dy)
         visc_bound = h ** 2 / (8.0 * self.viscosity.nu_max)
         if dt > visc_bound:
             raise CFLViolationError(dt, visc_bound, "viscous")
-        umax = max(float(np.max(np.abs(u.ux))), float(np.max(np.abs(u.uy))))
+        # np.maximum, unlike max(), keeps a NaN from either component
+        umax = float(np.maximum(np.max(np.abs(u.ux)), np.max(np.abs(u.uy))))
         adv_bound = h / (4.0 * umax + 1e-12)
-        if dt > adv_bound:
-            raise CFLViolationError(dt, adv_bound, "advective")
+        if not dt <= adv_bound:
+            raise CFLViolationError(dt, adv_bound,
+                                    f"advective (velocity max|u| = {umax:.3e})")
 
     # -- phase step ----------------------------------------------------------
 
@@ -238,15 +260,18 @@ class ForwardSolver:
 
         Zeroes the no-slip normal faces of the predictor, then projects it.
         """
-        u_star = u + self.scheme.dt * rhs
+        u_star = self.scheme.dt * rhs
+        u_star += u
         u_star.enforce_noslip_normal()
         return self.project(u_star)
 
     def momentum_rhs(self, u: VectorField, phi_new: ScalarField,
                      mu_new: ScalarField, v: VectorField) -> VectorField:
+        """Stress, advection, capillary force and control, summed in place."""
         nu_cc = ScalarField(self.grid, self.viscosity.nu(phi_new.values))
-        rhs = div_viscous_stress(nu_cc, u) - advect_vector(u, u) \
-            + kelvin_force(mu_new, gradient_cc_to_face(phi_new)) + v
+        rhs = stress_minus_advection(nu_cc, u, u)
+        rhs += kelvin_force(mu_new, gradient_cc_to_face(phi_new))
+        rhs += v
         return rhs
 
     def step_ns(self, u: VectorField, phi_new: ScalarField, mu_new: ScalarField,

@@ -6,6 +6,21 @@ in the interior; boundary closures implement the two boundary conditions the
 solvers need: zero-flux mirror ghosts for cell-centered scalars and no-slip
 reflection ghosts for face-centered velocities.
 
+The tangential differences of a no-slip velocity w are taken once, by
+``node_shear_rates(w)``: d_y wx and d_x wy at the grid nodes, each the
+one-sided difference of the two faces on either side of a node, with the
+reflection ghost w[-1] = -w[0] giving 2 w[0] / h at the walls.  The four
+velocity operators read that record (``rates``) next to the velocity it
+belongs to: ``div_viscous_stress`` forms its node shear stress from it,
+``advect_vector`` its tangential centered differences, and
+``sym_gradient`` and ``full_gradient_cc`` their off-diagonal entries.  A
+centered difference across a face row is the mean of the one-sided
+differences at the two nodes beside it, (w[j+1] - w[j-1]) / 2h =
+((w[j+1] - w[j]) / h + (w[j] - w[j-1]) / h) / 2, ghosts included, so the
+advection needs no wall code of its own.  Each operator keeps the normal
+differences (along its own faces) inside.  A solver step builds one record
+per velocity and hands it to every operator that reads that velocity.
+
 Array layout: a scalar field is an ``(nx, ny)`` array indexed ``[i, j]`` with
 ``i`` the x index; the x component of a vector field is ``(nx+1, ny)`` on
 x-faces, the y component ``(nx, ny+1)`` on y-faces.
@@ -186,6 +201,18 @@ class VectorField:
         _require_same_grid(self, other)
         return VectorField(self.grid, self.ux - other.ux, self.uy - other.uy)
 
+    def __iadd__(self, other):
+        _require_same_grid(self, other)
+        self.ux += other.ux
+        self.uy += other.uy
+        return self
+
+    def __isub__(self, other):
+        _require_same_grid(self, other)
+        self.ux -= other.ux
+        self.uy -= other.uy
+        return self
+
     def __mul__(self, scalar: float):
         return VectorField(self.grid, self.ux * scalar, self.uy * scalar)
 
@@ -234,9 +261,17 @@ def gradient_cc_to_face(phi: ScalarField) -> VectorField:
 
 
 def divergence_face_to_cc(w: VectorField) -> ScalarField:
-    """Conservative per-cell flux difference."""
+    """Conservative per-cell flux difference.
+
+    (ux[i+1] - ux[i]) / dx + (uy[j+1] - uy[j]) / dy in that order of
+    operations, written into the output and one work array.
+    """
     g = w.grid
-    out = (w.ux[1:, :] - w.ux[:-1, :]) / g.dx + (w.uy[:, 1:] - w.uy[:, :-1]) / g.dy
+    out = np.subtract(w.ux[1:], w.ux[:-1])
+    out /= g.dx
+    dy_part = np.subtract(w.uy[:, 1:], w.uy[:, :-1])
+    dy_part /= g.dy
+    out += dy_part
     return ScalarField(g, out)
 
 
@@ -330,11 +365,15 @@ def cc_components_to_faces(grid: Grid2D, tx: np.ndarray,
 # ---------------------------------------------------------------------------
 # derived operators
 
-def _node_shear_rates(u: VectorField):
-    """(d_y ux, d_x uy) at grid nodes with no-slip reflection ghosts.
+def node_shear_rates(u: VectorField):
+    """(d_y ux, d_x uy) of a no-slip face velocity at the grid nodes.
 
-    The ghost w[-1] = -w[0] turns the wall difference into 2 w[0] (and
-    -2 w[n-1] at the far wall), written straight into the node array.
+    Each is the one-sided difference of the two faces on either side of a
+    node, two (nx+1, ny+1) arrays.  At a wall node the reflection ghost
+    w[-1] = -w[0] turns the difference into 2 w[0] / h (and -2 w[n-1] / h
+    at the far wall), written straight into the node array.  This is the
+    record the velocity operators below take as ``rates``; they read it
+    and never write it.
     """
     g = u.grid
     duxdy = np.empty((g.nx + 1, g.ny + 1))
@@ -354,58 +393,56 @@ def _nodes_to_cc(n: np.ndarray) -> np.ndarray:
     return 0.25 * (n[1:, 1:] + n[1:, :-1] + n[:-1, 1:] + n[:-1, :-1])
 
 
-def sym_gradient(u: VectorField) -> TensorField:
-    """Symmetric gradient (grad u + grad u^T)/2 averaged to cell centers.
-
-    Assumes ``u`` carries the no-slip condition; the off-diagonal entry uses
-    reflection ghosts so the velocity interpolates to zero on the walls.
-    """
-    g = u.grid
-    dxx = (u.ux[1:, :] - u.ux[:-1, :]) / g.dx
-    dyy = (u.uy[:, 1:] - u.uy[:, :-1]) / g.dy
-    duxdy, duydx = _node_shear_rates(u)
-    dxy = _nodes_to_cc(0.5 * (duxdy + duydx))
-    return TensorField(g, dxx, dxy, dyy)
-
-
-def full_gradient_cc(u: VectorField):
+def full_gradient_cc(u: VectorField, rates):
     """All four entries of grad u at cell centers, for a no-slip field.
 
-    Returns (dux_dx, dux_dy, duy_dx, duy_dy); the off-diagonal entries use
-    the reflection ghosts of ``sym_gradient``.
+    Returns (dux_dx, dux_dy, duy_dx, duy_dy).  ``rates`` is
+    ``node_shear_rates(u)``: the off-diagonal entries are the cell means of
+    its two arrays at the four corner nodes, so the velocity interpolates
+    to zero on the walls.  The diagonal entries difference ``u`` across
+    each cell.
     """
     g = u.grid
     dxx = (u.ux[1:, :] - u.ux[:-1, :]) / g.dx
     dyy = (u.uy[:, 1:] - u.uy[:, :-1]) / g.dy
-    duxdy, duydx = _node_shear_rates(u)
-    return dxx, _nodes_to_cc(duxdy), _nodes_to_cc(duydx), dyy
+    return dxx, _nodes_to_cc(rates[0]), _nodes_to_cc(rates[1]), dyy
+
+
+def sym_gradient(u: VectorField, rates) -> TensorField:
+    """Symmetric gradient (grad u + grad u^T)/2 at cell centers.
+
+    The entries of ``full_gradient_cc(u, rates)``, the off-diagonal ones
+    averaged.
+    """
+    dxx, dxy, dyx, dyy = full_gradient_cc(u, rates)
+    return TensorField(u.grid, dxx, 0.5 * (dxy + dyx), dyy)
 
 
 class HypothesisViolationError(ValueError):
     """Raised when an input violates one of the model hypotheses."""
 
 
-def div_viscous_stress(nu_cc: ScalarField, u: VectorField,
+def div_viscous_stress(nu_cc: ScalarField, u: VectorField, rates,
                        require_positive: bool = True) -> VectorField:
     """Conservative discretization of 2 div(nu D u) on faces.
 
-    The viscosity is given at cell centers and averaged arithmetically to the
-    nodes where the shear stress lives.  ``require_positive`` applies to the
-    physical viscosity; linearized solvers pass products like nu'(phi)*eta
-    that may change sign.
+    ``rates`` is ``node_shear_rates(u)``: the shear stress
+    2 nu_node (d_y ux + d_x uy) / 2 lives at the nodes, with the viscosity
+    given at cell centers and averaged arithmetically to them.  The normal
+    stresses 2 nu d_n u difference ``u`` across each cell here.
+    ``require_positive`` applies to the physical viscosity; linearized
+    solvers pass products like nu'(phi)*eta that may change sign.
 
     Allocates the two output face arrays, one cell-shaped work array, the
-    two node arrays of ``_node_shear_rates`` and the two of
-    ``_nodes_from_cc``; every other intermediate is written into those.
+    node shear stress and the two arrays of ``_nodes_from_cc``; every
+    other intermediate is written into those.
     """
     _require_same_grid(nu_cc, u)
     if require_positive and np.any(nu_cc.values <= 0.0):
         raise HypothesisViolationError("viscosity must be positive everywhere")
     g = u.grid
     nu = nu_cc.values
-    # shear stress 2 nu_node (duxdy + duydx) / 2 at the nodes
-    txy, duydx = _node_shear_rates(u)
-    txy += duydx
+    txy = np.add(*rates)
     txy *= _nodes_from_cc(nu)
     ux = np.empty((g.nx + 1, g.ny))
     uy = np.empty((g.nx, g.ny + 1))
@@ -472,29 +509,34 @@ def advect_scalar(u: VectorField, phi: ScalarField) -> ScalarField:
     return divergence_face_to_cc(VectorField(g, fx, fy))
 
 
-def advect_vector(u: VectorField, w: VectorField) -> VectorField:
+def advect_vector(u: VectorField, w: VectorField, rates) -> VectorField:
     """(u . grad) w per component with centered differences on faces.
 
-    Allocates the two output face arrays and two face-shaped work arrays
-    per component; every other intermediate is written into those.
+    ``rates`` is ``node_shear_rates(w)`` of the advected no-slip field.
+    The centered difference of w along its own faces is taken here; the one
+    across them is the mean of the two node shear rates beside each face,
+    which carries the reflection ghost at the walls.  Allocates the two
+    output face arrays and two face-shaped work arrays per component;
+    every other intermediate is written into those.
     """
     _require_same_grid(u, w)
     g = u.grid
     out_x = np.empty((g.nx + 1, g.ny))
     out_y = np.empty((g.nx, g.ny + 1))
-    _advect_component_into(out_x, u.ux, u.uy, w.ux, g.dx, g.dy)
-    _advect_component_into(out_y.T, u.uy.T, u.ux.T, w.uy.T, g.dy, g.dx)
+    _advect_component_into(out_x, u.ux, u.uy, w.ux, rates[0], g.dx)
+    _advect_component_into(out_y.T, u.uy.T, u.ux.T, w.uy.T, rates[1].T, g.dy)
     return VectorField(g, out_x, out_y)
 
 
-def _advect_component_into(out, un, ut, w, h, h_t):
+def _advect_component_into(out, un, ut, w, dw_t, h):
     """Write un d_n w + <ut> d_t w on the faces normal to axis 0 into out.
 
     ``un`` and ``w`` live on those faces, ``ut`` on the faces normal to
-    axis 1 and enters as the mean of the four around each face.  The no-slip
-    ghost w[:, -1] = -w[:, 0] turns the wall differences across axis 1 into
-    w[:, 1] + w[:, 0] and -(w[:, -1] + w[:, -2]).  Boundary faces get zero.
-    The y component is the same call on transposed views.
+    axis 1 and enters as the mean of the four around each face; ``dw_t``
+    is the node shear rate of w across axis 1, and d_t w on a face is the
+    mean of the two at its ends.  Both means are folded into one factor
+    1/8, exact in binary.  Boundary faces get zero.  The y component is
+    the same call on transposed views.
     """
     inner = out[1:-1]
     np.subtract(w[2:], w[:-2], out=inner)
@@ -503,14 +545,8 @@ def _advect_component_into(out, un, ut, w, h, h_t):
     ut_mean = np.add(ut[1:, :-1], ut[1:, 1:])
     ut_mean += ut[:-1, :-1]
     ut_mean += ut[:-1, 1:]
-    ut_mean *= 0.25
-    dw = np.empty_like(ut_mean)
-    wi = w[1:-1]
-    np.subtract(wi[:, 2:], wi[:, :-2], out=dw[:, 1:-1])
-    np.add(wi[:, 1], wi[:, 0], out=dw[:, 0])
-    np.add(wi[:, -1], wi[:, -2], out=dw[:, -1])
-    np.negative(dw[:, -1], out=dw[:, -1])
-    dw /= 2.0 * h_t
+    ut_mean *= 0.125
+    dw = np.add(dw_t[1:-1, :-1], dw_t[1:-1, 1:])
     dw *= ut_mean
     inner += dw
     out[0] = 0.0

@@ -6,7 +6,8 @@ with the field inner product:
 
 * ``convolve``          -- (K * phi)(x) = sum_y K(x - y) phi(y) dx dy
 * ``mass_field``        -- a(x) = (K * 1)(x), cached at construction
-* ``grad_dot_convolve`` -- sum_y grad K(x - y) . grad phi(y) dx dy
+* ``grad_dot_convolve`` -- sum_y grad K(x - y) . grad phi(y) dx dy, from the
+  face gradient of phi
 
 Each is a linear convolution restricted to the domain, evaluated exactly (to
 round-off) by products with Toeplitz matrices.  A ``Kernel`` factors as
@@ -38,8 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (Grid2D, GridMismatchError, ScalarField, gradient_cc_to_face,
-                   vector_to_cc)
+from .grid import Grid2D, GridMismatchError, ScalarField, VectorField, vector_to_cc
 
 KERNEL_FAMILIES = ("gaussian", "delta")
 
@@ -179,12 +179,18 @@ def convolve(kernel: Kernel, phi: ScalarField) -> ScalarField:
     return ScalarField(phi.grid, tx @ phi.values @ ty.T)
 
 
-def grad_dot_convolve(kernel: Kernel, q: ScalarField) -> ScalarField:
-    """sum_y grad K(x - y) . grad q(y) dy with grad q from the face gradient."""
-    if q.grid != kernel.grid:
+def grad_dot_convolve(kernel: Kernel, grad_q: VectorField) -> ScalarField:
+    """sum_y grad K(x - y) . grad q(y) dy at cell centers.
+
+    ``grad_q`` is the face gradient ``gradient_cc_to_face(q)``, so that a
+    caller who needs it for another term too computes it once; its
+    components are averaged to the cell centers where the kernel's
+    quadrature lives.
+    """
+    if grad_q.grid != kernel.grid:
         raise GridMismatchError("field grid does not match kernel grid")
-    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
+    qx_cc, qy_cc = vector_to_cc(grad_q)
     tx, dtx, ty, dty = kernel._toeplitz
     out = dtx @ qx_cc @ ty.T
     out += tx @ qy_cc @ dty.T
-    return ScalarField(q.grid, out)
+    return ScalarField(grad_q.grid, out)

@@ -15,6 +15,12 @@ step's constant-coefficient operator and flux-form rebuild, so the cell
 sum of dphi stays zero to round-off, and du is projected exactly like u.
 Each step returns the dmu of its new level, which the next step reads as
 its dmu at (phi_old, dphi_old).
+
+The momentum derivative differences two velocities, du and u, each in a
+stress and an advection term.  ``forward.stress_minus_advection`` forms
+the two terms of one velocity from one set of its node shear rates, first
+for du, then for u, so one set is alive at a time; the sum is accumulated
+in place.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardSolver, StateTrajectory, StepFailureError, kelvin_force
+from .forward import (ForwardSolver, StateTrajectory, StepFailureError,
+                      kelvin_force, stress_minus_advection)
 from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
-                   advect_vector, div_viscous_stress, gradient_cc_to_face,
-                   laplacian_neumann_array)
+                   gradient_cc_to_face, laplacian_neumann_array)
 from .kernels import convolve
 from .linsolve import SolverConvergenceError
 
@@ -85,12 +91,11 @@ class TangentSolver:
         nu_cc = ScalarField(grid, fwd.viscosity.nu(state_phi_new.values))
         dnu_cc = ScalarField(grid, fwd.viscosity.dnu(state_phi_new.values)
                              * dphi_new.values)
-        drhs = (div_viscous_stress(nu_cc, du)
-                + div_viscous_stress(dnu_cc, state_u, require_positive=False)
-                - advect_vector(du, state_u) - advect_vector(state_u, du)
-                + kelvin_force(dmu_new, gradient_cc_to_face(state_phi_new))
-                + kelvin_force(state_mu_new, gradient_cc_to_face(dphi_new))
-                + h)
+        drhs = stress_minus_advection(nu_cc, du, state_u)
+        drhs += stress_minus_advection(dnu_cc, state_u, du, require_positive=False)
+        drhs += kelvin_force(dmu_new, gradient_cc_to_face(state_phi_new))
+        drhs += kelvin_force(state_mu_new, gradient_cc_to_face(dphi_new))
+        drhs += h
         return fwd.advance_velocity(du, drhs), dphi_new, dmu_new
 
     def run(self, traj: StateTrajectory, h_traj) -> TangentTrajectory:

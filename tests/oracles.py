@@ -95,6 +95,20 @@ def _noslip_ghost(a, i, j):
     return sign * a[i, j]
 
 
+def direct_node_shear_rates(ux, uy, dx, dy):
+    """(d_y ux, d_x uy) at every grid node, wall nodes included, one node at a
+    time: the difference of the two faces on either side of the node, with
+    no-slip reflection ghosts outside the domain."""
+    nx, ny = uy.shape[0], ux.shape[1]
+    duxdy = np.zeros((nx + 1, ny + 1))
+    duydx = np.zeros((nx + 1, ny + 1))
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            duxdy[i, j] = (_noslip_ghost(ux, i, j) - _noslip_ghost(ux, i, j - 1)) / dy
+            duydx[i, j] = (_noslip_ghost(uy, i, j) - _noslip_ghost(uy, i - 1, j)) / dx
+    return duxdy, duydx
+
+
 def direct_viscous_stress(nu, ux, uy, dx, dy):
     """2 div(nu D u) on interior faces, one face at a time.
 

@@ -14,7 +14,8 @@ from nchns import (CFLViolationError, CostWeights, DoubleWell,
                    divergence_face_to_cc, make_kernel, norm_l2,
                    reduced_gradient, run_adjoint, run_tangent, zero_control)
 from nchns.adjoint import AdjointSolver
-from nchns.grid import laplacian_neumann_array
+from nchns.grid import (gradient_cc_to_face, laplacian_neumann_array,
+                        node_shear_rates)
 from nchns.kernels import grad_dot_convolve
 from nchns.physics import chemical_potential
 from nchns.presets import (constant_control, random_solenoidal, scalar_preset,
@@ -122,11 +123,11 @@ def test_adjoint_phase_step_is_consistent():
     X, Y = grid.cell_centers()
     aphi_next = ScalarField(grid, np.cos(np.pi * X) * np.cos(2 * np.pi * Y))
     zero = VectorField.zeros(grid)
-    _, aphi = AdjointSolver(solver).step_back(
-        zero, phi, mu, zero, aphi_next, None, None)
+    _, aphi, _ = AdjointSolver(solver).step_back(
+        zero, phi, mu, zero, node_shear_rates(zero), aphi_next, None, None)
     c_tilde = solver.kernel.mass_field.values + solver.potential.d2f(phi.values)
     rate = (c_tilde * laplacian_neumann_array(aphi_next.values, grid)
-            + grad_dot_convolve(solver.kernel, aphi_next).values)
+            + grad_dot_convolve(solver.kernel, gradient_cc_to_face(aphi_next)).values)
     defect = (aphi.values - aphi_next.values) / dt - rate
     assert np.max(np.abs(defect)) <= 1e-2 * np.max(np.abs(rate))
 
@@ -161,6 +162,46 @@ def test_adjoint_cfl_violation_names_the_step():
         run_adjoint(solver, traj, targets, CostWeights(b1=1.0))
     assert err.value.step == 4
     assert isinstance(err.value.__cause__, CFLViolationError)
+
+
+def test_adjoint_names_a_non_finite_state_velocity():
+    # a NaN face in u_2 used to pass the CFL check and surface as a failed
+    # projection; the check now names the velocity at the step that reads it
+    solver, init, traj, targets = tracking_setup(nt=6)
+    bad = traj.u[2].copy()
+    bad.uy[10, 10] = np.nan
+    traj.u[2] = bad
+    with pytest.raises(StepFailureError, match=r"velocity max\|u\| = nan") as err:
+        run_adjoint(solver, traj, targets, CostWeights(b1=1.0))
+    assert err.value.step == 2
+    assert isinstance(err.value.__cause__, CFLViolationError)
+
+
+def test_adjoint_hands_down_the_shear_rates_of_each_level(monkeypatch):
+    # every step reads the rates of its au_next from the step above instead
+    # of differencing au_next again; they must be the rates of that level
+    solver, init, traj, targets = tracking_setup(nt=8)
+    calls = []
+    step_back = AdjointSolver.step_back
+
+    def recording(self, state_u, state_phi, state_mu, au_next, au_next_rates,
+                  *args):
+        out = step_back(self, state_u, state_phi, state_mu, au_next,
+                        au_next_rates, *args)
+        calls.append((au_next, au_next_rates, out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(AdjointSolver, "step_back", recording)
+    adj = run_adjoint(solver, traj, targets,
+                      CostWeights(b1=1.0, b2=1.0, b3=1.0, b4=1.0))
+    assert len(calls) == 8
+    for n, (au_next, handed, au, returned) in zip(range(7, -1, -1), calls):
+        assert au_next is adj.au[n + 1] and au is adj.au[n]
+        for got, fresh in zip(handed, node_shear_rates(adj.au[n + 1]), strict=True):
+            assert np.array_equal(got, fresh)
+        for got, fresh in zip(returned, node_shear_rates(adj.au[n]), strict=True):
+            assert np.array_equal(got, fresh)
+    assert np.max(np.abs(adj.au[0].ux)) > 0.0
 
 
 def test_sweeps_retain_no_arrays():

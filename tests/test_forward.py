@@ -195,6 +195,17 @@ def test_cfl_violation_fails_before_any_phase_solve(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("component", ["ux", "uy"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cfl_check_names_a_non_finite_velocity(component, bad):
+    # every comparison with a NaN is False, so a bound check alone lets it by
+    solver, _ = default_setup(n=16, nt=2, dt=1e-5)
+    u = VectorField.zeros(solver.grid)
+    getattr(u, component)[5, 7] = bad
+    with pytest.raises(CFLViolationError, match=r"velocity max\|u\| = (nan|inf)"):
+        solver.check_cfl(u)
+
+
 def test_initial_data_validation():
     grid = Grid2D(16, 16)
     u0 = VectorField.zeros(grid)

@@ -5,13 +5,14 @@ import sympy as sp
 from nchns import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
                    gradient_cc_to_face, inner_product_l2, laplacian_neumann,
-                   norm_l2, sym_gradient)
+                   node_shear_rates, norm_l2, sym_gradient)
 from nchns.grid import (GridMismatchError, HypothesisViolationError,
-                        _nodes_from_cc, laplacian_neumann_array)
+                        _nodes_from_cc, full_gradient_cc, laplacian_neumann_array)
 
 from conftest import solenoidal
 from oracles import (direct_advect_vector, direct_neumann_laplacian,
-                     direct_node_average, direct_viscous_stress, fit_slope)
+                     direct_node_average, direct_node_shear_rates,
+                     direct_viscous_stress, fit_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,15 @@ def test_gradient_grid_mismatch(grid16, grid32):
 
 # ---------------------------------------------------------------------------
 # divergence
+
+def test_divergence_matches_the_two_difference_expression(rng):
+    # the same operations in the same order as the plain array expression
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    w = VectorField(grid, rng.standard_normal((25, 40)), rng.standard_normal((24, 41)))
+    expected = ((w.ux[1:, :] - w.ux[:-1, :]) / grid.dx
+                + (w.uy[:, 1:] - w.uy[:, :-1]) / grid.dy)
+    assert np.array_equal(divergence_face_to_cc(w).values, expected)
+
 
 def test_divergence_of_interior_constant(grid32):
     w = VectorField.zeros(grid32)
@@ -135,17 +145,31 @@ def test_node_average_matches_clamped_loops(rng):
 
 
 # ---------------------------------------------------------------------------
+# node shear rates
+
+def test_node_shear_rates_match_ghost_cell_loops(rng):
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    u = _random_noslip(grid, rng)
+    for fast, direct in zip(node_shear_rates(u),
+                            direct_node_shear_rates(u.ux, u.uy, grid.dx, grid.dy),
+                            strict=True):
+        assert fast.shape == (25, 41)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+# ---------------------------------------------------------------------------
 # symmetric gradient
 
 def test_sym_gradient_of_zero(grid32):
-    d = sym_gradient(VectorField.zeros(grid32))
+    u = VectorField.zeros(grid32)
+    d = sym_gradient(u, node_shear_rates(u))
     assert np.all(d.xx == 0) and np.all(d.xy == 0) and np.all(d.yy == 0)
 
 
 def test_sym_gradient_rigid_rotation(grid32):
     u = VectorField.from_functions(grid32, lambda x, y: -(y - 0.5),
                                    lambda x, y: x - 0.5)
-    d = sym_gradient(u)
+    d = sym_gradient(u, node_shear_rates(u))
     np.testing.assert_allclose(d.xx, 0.0, atol=1e-12)
     np.testing.assert_allclose(d.yy, 0.0, atol=1e-12)
     np.testing.assert_allclose(d.xy[1:-1, 1:-1], 0.0, atol=1e-12)
@@ -156,7 +180,7 @@ def test_sym_gradient_shear():
     for n in (16, 32, 64):
         grid = Grid2D(n, n, 1.0, 1.0)
         u = VectorField.from_functions(grid, lambda x, y: y, lambda x, y: 0.0 * x)
-        d = sym_gradient(u)
+        d = sym_gradient(u, node_shear_rates(u))
         errs.append(np.max(np.abs(d.xy[1:-1, 1:-1] - 0.5)))
         hs.append(grid.dx)
     assert errs[0] < 1e-12  # linear profile: exact, not just O(dx^2)
@@ -180,7 +204,7 @@ def _vector_laplacian_interior(u):
 def test_viscous_stress_constant_viscosity_reduction(grid32, rng):
     u = solenoidal(grid32, rng)          # discretely divergence-free
     nu0 = 0.7
-    out = div_viscous_stress(ScalarField.full(grid32, nu0), u)
+    out = div_viscous_stress(ScalarField.full(grid32, nu0), u, node_shear_rates(u))
     lap_x, lap_y = _vector_laplacian_interior(u)
     np.testing.assert_allclose(out.ux[1:-1, :], nu0 * lap_x, atol=1e-12, rtol=1e-12)
     np.testing.assert_allclose(out.uy[:, 1:-1], nu0 * lap_y, atol=1e-12, rtol=1e-12)
@@ -189,7 +213,7 @@ def test_viscous_stress_constant_viscosity_reduction(grid32, rng):
 def test_viscous_stress_rejects_nonpositive_viscosity(grid32, rng):
     u = solenoidal(grid32, rng)
     with pytest.raises(HypothesisViolationError):
-        div_viscous_stress(ScalarField.full(grid32, -1.0), u)
+        div_viscous_stress(ScalarField.full(grid32, -1.0), u, node_shear_rates(u))
 
 
 def test_viscous_stress_manufactured_convergence():
@@ -214,7 +238,7 @@ def test_viscous_stress_manufactured_convergence():
         grid = Grid2D(n, n, 1.0, 1.0)
         u = VectorField.from_functions(grid, ux_f, uy_f)
         nu = ScalarField.from_function(grid, nu_f)
-        out = div_viscous_stress(nu, u)
+        out = div_viscous_stress(nu, u, node_shear_rates(u))
         XF, YF = grid.xface_centers()
         XG, YG = grid.yface_centers()
         m = 2  # interior band; boundary closure is exercised elsewhere
@@ -242,7 +266,7 @@ def test_viscous_stress_matches_ghost_cell_loops(rng):
     grid = Grid2D(24, 40, 2.0, 1.0)
     nu = rng.uniform(0.4, 1.6, (24, 40))
     u = _random_noslip(grid, rng)
-    out = div_viscous_stress(ScalarField(grid, nu), u)
+    out = div_viscous_stress(ScalarField(grid, nu), u, node_shear_rates(u))
     _assert_matches_loops(out, *direct_viscous_stress(nu, u.ux, u.uy, grid.dx, grid.dy))
 
 
@@ -254,13 +278,17 @@ def test_velocity_operators_leave_inputs_unchanged(rng):
     signed_nu = ScalarField(grid, rng.standard_normal((24, 40)))
     u = _random_noslip(grid, rng)
     w = _random_noslip(grid, rng)
-    kept = [a.copy() for a in (nu.values, signed_nu.values, u.ux, u.uy, w.ux, w.uy)]
-    div_viscous_stress(nu, u)
-    div_viscous_stress(signed_nu, w, require_positive=False)
-    advect_vector(u, w)
-    advect_vector(w, w)
-    for a, b in zip((nu.values, signed_nu.values, u.ux, u.uy, w.ux, w.uy), kept,
-                    strict=True):
+    # the shear rates are inputs too: a step hands one record to several operators
+    ru, rw = node_shear_rates(u), node_shear_rates(w)
+    inputs = (nu.values, signed_nu.values, u.ux, u.uy, w.ux, w.uy, *ru, *rw)
+    kept = [a.copy() for a in inputs]
+    div_viscous_stress(nu, u, ru)
+    div_viscous_stress(signed_nu, w, rw, require_positive=False)
+    advect_vector(u, w, rw)
+    advect_vector(w, w, rw)
+    sym_gradient(w, rw)
+    full_gradient_cc(u, ru)
+    for a, b in zip(inputs, kept, strict=True):
         assert np.array_equal(a, b)
 
 
@@ -295,7 +323,7 @@ def test_advect_scalar_skew_adjoint(grid32, rng):
 
 def test_advect_vector_zero_velocity(grid32, rng):
     w = solenoidal(grid32, rng)
-    out = advect_vector(VectorField.zeros(grid32), w)
+    out = advect_vector(VectorField.zeros(grid32), w, node_shear_rates(w))
     assert np.max(np.abs(out.ux)) == 0.0 and np.max(np.abs(out.uy)) == 0.0
 
 
@@ -304,7 +332,7 @@ def test_advect_vector_constant_w(grid32, rng):
     w = VectorField.zeros(grid32)
     w.ux[:] = 1.3
     w.uy[:] = -0.4
-    out = advect_vector(u, w)
+    out = advect_vector(u, w, node_shear_rates(w))
     np.testing.assert_allclose(out.ux[2:-2, 2:-2], 0.0, atol=1e-12)
     np.testing.assert_allclose(out.uy[2:-2, 2:-2], 0.0, atol=1e-12)
 
@@ -319,7 +347,7 @@ def test_advect_vector_uniform_stream_matches_dx():
         w = VectorField.from_functions(
             grid, lambda x, y: np.sin(2 * np.pi * x) * np.sin(np.pi * y),
             lambda x, y: np.cos(2 * np.pi * x) * np.sin(np.pi * y))
-        out = advect_vector(u, w)
+        out = advect_vector(u, w, node_shear_rates(w))
         XF, YF = grid.xface_centers()
         exact = c * 2 * np.pi * np.cos(2 * np.pi * XF) * np.sin(np.pi * YF)
         m = 2
@@ -333,7 +361,7 @@ def test_advect_vector_matches_ghost_cell_loops(rng):
     grid = Grid2D(24, 40, 2.0, 1.0)
     u = _random_noslip(grid, rng)
     w = _random_noslip(grid, rng)
-    out = advect_vector(u, w)
+    out = advect_vector(u, w, node_shear_rates(w))
     _assert_matches_loops(out, *direct_advect_vector(u.ux, u.uy, w.ux, w.uy,
                                                      grid.dx, grid.dy))
 

@@ -99,7 +99,7 @@ def test_auto_scale_hits_target(rng):
 
     def outputs(k):
         return (convolve(k, phi).values, k.mass_field.values,
-                grad_dot_convolve(k, phi).values)
+                grad_dot_convolve(k, gradient_cc_to_face(phi)).values)
 
     f = 0.37
     scaled = kern.rescale(f)
@@ -129,11 +129,11 @@ def test_grad_convolve_commutes_with_gradient():
 
 
 def test_grad_dot_convolve_trivial_cases(gauss16, grid16, rng):
-    const = ScalarField.full(grid16, 5.0)
+    const = gradient_cc_to_face(ScalarField.full(grid16, 5.0))
     np.testing.assert_allclose(grad_dot_convolve(gauss16, const).values, 0.0,
                                atol=1e-13)
     constk = _constant_kernel(grid16, 1.0)
-    q = ScalarField(grid16, rng.standard_normal((16, 16)))
+    q = gradient_cc_to_face(ScalarField(grid16, rng.standard_normal((16, 16))))
     np.testing.assert_allclose(grad_dot_convolve(constk, q).values, 0.0, atol=1e-13)
 
 
@@ -141,8 +141,9 @@ def test_grad_dot_convolve_matches_direct_sum():
     grid = Grid2D(32, 32)
     kern = make_kernel(grid, "gaussian", width=0.2)
     q = ScalarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * x))
-    fast = grad_dot_convolve(kern, q).values
-    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
+    gq = gradient_cc_to_face(q)
+    fast = grad_dot_convolve(kern, gq).values
+    qx_cc, qy_cc = vector_to_cc(gq)
     direct = direct_grad_dot_convolution(kern, qx_cc, qy_cc)
     rel = np.max(np.abs(fast - direct)) / np.max(np.abs(direct))
     assert rel <= 1e-12
@@ -162,9 +163,9 @@ def _assert_matches_direct_sums(kern, phi, rtol=1e-12):
     close(kern.mass_field.values,
           direct_convolution(kern, np.ones((grid.nx, grid.ny))))
 
-    q = ScalarField(grid, phi)
-    qx_cc, qy_cc = vector_to_cc(gradient_cc_to_face(q))
-    close(grad_dot_convolve(kern, q).values,
+    gq = gradient_cc_to_face(ScalarField(grid, phi))
+    qx_cc, qy_cc = vector_to_cc(gq)
+    close(grad_dot_convolve(kern, gq).values,
           direct_grad_dot_convolution(kern, qx_cc, qy_cc))
 
 
