@@ -46,8 +46,7 @@ from .forward import (CFLViolationError, ForwardSolver, StateTrajectory,
 from .grid import (Grid2D, ScalarField, VectorField, advect_vector,
                    cc_components_to_faces, div_viscous_stress,
                    full_gradient_cc, gradient_cc_to_face,
-                   laplacian_neumann_array, node_shear_rates, sym_gradient,
-                   vector_to_cc)
+                   laplacian_neumann_array, node_shear_rates, vector_to_cc)
 from .kernels import convolve, grad_dot_convolve
 from .linsolve import HelmholtzNeumannSolver, SolverConvergenceError
 from .problem import CostWeights, Targets, tracking_terms
@@ -131,10 +130,10 @@ class AdjointSolver:
                              + d2f * w.values)
         # 2 nu'(phi) D(u) : D(au); 2 D(u)_xy is the sum of the shear rates
         dux_dx, dux_dy, duy_dx, duy_dy = grad_u
-        d_adj = sym_gradient(au, au_rates)
+        dax_dx, dax_dy, day_dx, day_dy = full_gradient_cc(au, au_rates)
         visc_coupling = 2.0 * fwd.viscosity.dnu(state_phi.values) * (
-            dux_dx * d_adj.xx + (dux_dy + duy_dx) * d_adj.xy
-            + duy_dy * d_adj.yy)
+            dux_dx * dax_dx + (dux_dy + duy_dx) * (0.5 * (dax_dy + day_dx))
+            + duy_dy * day_dy)
         gaphi = gradient_cc_to_face(aphi_next)
         transport = face_dot_to_cc(state_u, gaphi)
         mu_coupling = face_dot_to_cc(au, gradient_cc_to_face(state_mu))

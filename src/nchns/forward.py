@@ -324,7 +324,8 @@ def diagnostics(traj: StateTrajectory, kernel: Kernel, potential: DoubleWell):
             "kinetic_energy": kin,
             "free_energy": mixing + bulk,
             "max_div": float(np.max(np.abs(divergence_face_to_cc(u).values))),
-            "max_u": max(float(np.max(np.abs(u.ux))), float(np.max(np.abs(u.uy)))),
+            # np.maximum, unlike max(), keeps a NaN from either component
+            "max_u": float(np.maximum(np.max(np.abs(u.ux)), np.max(np.abs(u.uy)))),
             "min_phi": float(phi.values.min()),
             "max_phi": float(phi.values.max()),
         })

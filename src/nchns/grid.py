@@ -13,7 +13,7 @@ reflection ghost w[-1] = -w[0] giving 2 w[0] / h at the walls.  The four
 velocity operators read that record (``rates``) next to the velocity it
 belongs to: ``div_viscous_stress`` forms its node shear stress from it,
 ``advect_vector`` its tangential centered differences, and
-``sym_gradient`` and ``full_gradient_cc`` their off-diagonal entries.  A
+``full_gradient_cc`` its off-diagonal entries.  A
 centered difference across a face row is the mean of the one-sided
 differences at the two nodes beside it, (w[j+1] - w[j-1]) / 2h =
 ((w[j+1] - w[j]) / h + (w[j] - w[j-1]) / h) / 2, ghosts included, so the
@@ -219,16 +219,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-@dataclass
-class TensorField:
-    """Cell-centered symmetric 2x2 tensor; xy holds both off-diagonals."""
-
-    grid: Grid2D
-    xx: np.ndarray
-    xy: np.ndarray
-    yy: np.ndarray
-
-
 def read_only(field):
     """Make a scalar or vector field's arrays read-only; returns the field.
 
@@ -406,16 +396,6 @@ def full_gradient_cc(u: VectorField, rates):
     dxx = (u.ux[1:, :] - u.ux[:-1, :]) / g.dx
     dyy = (u.uy[:, 1:] - u.uy[:, :-1]) / g.dy
     return dxx, _nodes_to_cc(rates[0]), _nodes_to_cc(rates[1]), dyy
-
-
-def sym_gradient(u: VectorField, rates) -> TensorField:
-    """Symmetric gradient (grad u + grad u^T)/2 at cell centers.
-
-    The entries of ``full_gradient_cc(u, rates)``, the off-diagonal ones
-    averaged.
-    """
-    dxx, dxy, dyx, dyy = full_gradient_cc(u, rates)
-    return TensorField(u.grid, dxx, 0.5 * (dxy + dyx), dyy)
 
 
 class HypothesisViolationError(ValueError):

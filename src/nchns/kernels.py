@@ -5,7 +5,7 @@ by midpoint quadrature on the cell centers so they are discretely consistent
 with the field inner product:
 
 * ``convolve``          -- (K * phi)(x) = sum_y K(x - y) phi(y) dx dy
-* ``mass_field``        -- a(x) = (K * 1)(x), cached at construction
+* ``mass_field``        -- a(x) = (K * 1)(x), formed at construction
 * ``grad_dot_convolve`` -- sum_y grad K(x - y) . grad phi(y) dx dy, from the
   face gradient of phi
 
@@ -24,8 +24,15 @@ into the x factors.  The products cost O(n^3) against the O(n^2 log n) of
 zero-padded FFTs, but at the model's grid sizes BLAS runs them faster and
 they need no (2n - 1)^2 table: one ``convolve`` took 8, 27 and 210 us at
 n = 32, 64 and 128 against 103, 191 and 951 us for the padded FFTs (one
-thread of an x86_64 Xeon, OpenBLAS).  The 2-D stencils that the tests read
-are built from the factors only when asked for.
+thread of an x86_64 Xeon, OpenBLAS).  The same factorization makes a(x) the
+outer product of the row sums of T_x and T_y, so a(x) needs no product at
+all.
+
+A kernel is built once: ``make_kernel`` tabulates the factors, scales them
+if asked to, and hands them to ``Kernel``, which forms its four Toeplitz
+matrices and a(x) in its constructor.  The package never forms the 2-D
+tables K(z) and grad K(z); the tests that sum against them build them from
+``Kernel.factors`` (``tests/oracles.py``).
 
 Both families of ``make_kernel`` factor exactly.  The Gaussian is even and
 integrable, and scaled by ``auto_scale_target`` it meets the coercivity
@@ -34,8 +41,6 @@ kernel makes K * phi the identity.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -55,21 +60,39 @@ def _toeplitz(f: np.ndarray, n: int) -> np.ndarray:
     return f[i[:, None] - i[None, :] + n - 1]
 
 
+def _row_sums(f: np.ndarray, n: int) -> np.ndarray:
+    """``_toeplitz(f, n).sum(axis=1)`` without forming the matrix.
+
+    Row i of the Toeplitz matrix is f[i + n - 1], f[i + n - 2], ..., f[i].
+    A view of f that steps one tap up per row and one tap down per column
+    reads those rows in place, and summed in that order the result is the
+    same to the last bit.
+    """
+    f = np.ascontiguousarray(f)
+    step = f.strides[0]
+    rows = np.ndarray((n, n), f.dtype, f, offset=(n - 1) * step,
+                      strides=(step, -step))
+    return rows.sum(axis=1)
+
+
+def _mass(grid: Grid2D, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """a(x) = (K * 1)(x) of the kernel with factors fx (x) fy."""
+    return np.outer(_row_sums(grid.cell_volume * fx, grid.nx),
+                    _row_sums(fy, grid.ny))
+
+
 class Kernel:
     """Tabulated separable interaction kernel bound to one grid.
 
     ``factors = (fx, dfx, fy, dfy)`` are 1-D tables of 2nx - 1, 2nx - 1,
     2ny - 1 and 2ny - 1 taps at the offsets along x and along y, with
-    K = fx (x) fy, d/dx K = dfx (x) fy and d/dy K = fx (x) dfy.  The kernel
-    convolves by products with the Toeplitz matrices of its factors (see the
-    module docstring).  ``stencil[m, l]`` is K at offset
-    ((m - nx + 1) dx, (l - ny + 1) dy) and ``gx_stencil``/``gy_stencil`` the
-    gradient at the same offsets; each is formed when first read.
-    ``mass_field`` caches a(x) = (K * 1)(x).
+    K = fx (x) fy, d/dx K = dfx (x) fy and d/dy K = fx (x) dfy.  The
+    constructor forms the four Toeplitz matrices the kernel convolves by
+    (see the module docstring), once, and ``mass_field``, a(x) = (K * 1)(x),
+    as the outer product of the row sums of the x and y matrices.
     """
 
-    def __init__(self, grid: Grid2D, family: str, params: dict, factors: tuple,
-                 mass_field: ScalarField = None):
+    def __init__(self, grid: Grid2D, factors: tuple):
         taps = (2 * grid.nx - 1, 2 * grid.nx - 1, 2 * grid.ny - 1, 2 * grid.ny - 1)
         if len(factors) != 4:
             raise ValueError("a Kernel needs four factors (fx, dfx, fy, dfy), "
@@ -79,56 +102,17 @@ class Kernel:
                 raise ValueError(f"kernel factor {name} must be 1-D with {n} taps "
                                  f"on a {grid.nx} x {grid.ny} grid, got shape "
                                  f"{np.shape(f)}")
-        self.grid, self.family, self.params = grid, family, params
-        self.factors = factors
-        # (tx, dtx), the cell volume folded into the x factors
+        self.grid, self.factors = grid, factors
+        fx, dfx, fy, dfy = factors
         vol = grid.cell_volume
-        self._x_toeplitz = (_toeplitz(vol * factors[0], grid.nx),
-                            _toeplitz(vol * factors[1], grid.nx))
-        if mass_field is None:
-            tx, _, ty, _ = self._toeplitz
-            mass_field = ScalarField(grid, np.outer(tx.sum(axis=1), ty.sum(axis=1)))
-        self.mass_field = mass_field
-
-    @cached_property
-    def stencil(self):
-        fx, _, fy, _ = self.factors
-        return np.outer(fx, fy)
-
-    @cached_property
-    def gx_stencil(self):
-        _, dfx, fy, _ = self.factors
-        return np.outer(dfx, fy)
-
-    @cached_property
-    def gy_stencil(self):
-        fx, _, _, dfy = self.factors
-        return np.outer(fx, dfy)
-
-    # -- the y Toeplitz matrices, built when first read; ``rescale`` shares
-    #    them with the kernel it builds -------------------------------------
-
-    @cached_property
-    def _y_toeplitz(self):
-        _, _, fy, dfy = self.factors
-        return _toeplitz(fy, self.grid.ny), _toeplitz(dfy, self.grid.ny)
-
-    @cached_property
-    def _toeplitz(self):
-        """(tx, dtx, ty, dty)."""
-        return self._x_toeplitz + self._y_toeplitz
-
-    def rescale(self, factor: float) -> "Kernel":
-        mass = ScalarField(self.grid, self.mass_field.values * factor)
-        fx, dfx, fy, dfy = self.factors
-        out = Kernel(self.grid, self.family, dict(self.params),
-                     (fx * factor, dfx * factor, fy, dfy), mass)
-        out._y_toeplitz = self._y_toeplitz    # the y factors are unchanged
-        return out
+        # (tx, dtx, ty, dty), the cell volume folded into the x factors
+        self._toeplitz = (_toeplitz(vol * fx, grid.nx), _toeplitz(vol * dfx, grid.nx),
+                          _toeplitz(fy, grid.ny), _toeplitz(dfy, grid.ny))
+        self.mass_field = ScalarField(grid, _mass(grid, fx, fy))
 
 
-def _tabulate(family: str, params: dict, grid: Grid2D) -> Kernel:
-    """The family's kernel, tabulated as 1-D factors."""
+def _factors(family: str, params: dict, grid: Grid2D) -> tuple:
+    """The family's kernel, tabulated as 1-D factors (fx, dfx, fy, dfy)."""
     ox = _axis_offsets(grid.nx, grid.dx)
     oy = _axis_offsets(grid.ny, grid.dy)
     amp = float(params.get("amplitude", 1.0))
@@ -138,17 +122,15 @@ def _tabulate(family: str, params: dict, grid: Grid2D) -> Kernel:
             raise ValueError("gaussian kernel width must be positive")
         fx = amp * np.exp(-ox ** 2 / (2.0 * sigma ** 2))
         fy = np.exp(-oy ** 2 / (2.0 * sigma ** 2))
-        factors = (fx, -(ox / sigma ** 2) * fx, fy, -(oy / sigma ** 2) * fy)
-    elif family == "delta":
+        return fx, -(ox / sigma ** 2) * fx, fy, -(oy / sigma ** 2) * fy
+    if family == "delta":
         fx = np.zeros_like(ox)
         fx[grid.nx - 1] = amp / grid.cell_volume
         fy = np.zeros_like(oy)
         fy[grid.ny - 1] = 1.0
-        factors = (fx, np.zeros_like(ox), fy, np.zeros_like(oy))
-    else:
-        raise ValueError(f"unknown kernel family {family!r}; "
-                         f"expected one of {KERNEL_FAMILIES}")
-    return Kernel(grid, family, dict(params), factors)
+        return fx, np.zeros_like(ox), fy, np.zeros_like(oy)
+    raise ValueError(f"unknown kernel family {family!r}; "
+                     f"expected one of {KERNEL_FAMILIES}")
 
 
 def make_kernel(grid: Grid2D, family: str, auto_scale_target: float = None,
@@ -157,18 +139,20 @@ def make_kernel(grid: Grid2D, family: str, auto_scale_target: float = None,
 
     With ``auto_scale_target`` the amplitude is multiplied so the minimum of
     a(x) over the domain equals the target (used to guarantee the coercivity
-    condition on F'' + a).
+    condition on F'' + a).  That minimum is read from the unscaled factors
+    before the kernel is built: a(x) is the outer product of two row-sum
+    vectors, which takes O(n^2) additions and no Toeplitz matrix.  The
+    scale multiplies fx and dfx, and the kernel is then built once.
     """
-    kern = _tabulate(family, params, grid)
+    fx, dfx, fy, dfy = _factors(family, params, grid)
     if auto_scale_target is not None:
-        amin = float(kern.mass_field.values.min())
+        amin = float(_mass(grid, fx, fy).min())
         if amin <= 0:
             raise ValueError(
                 f"cannot auto-scale kernel with min mass field {amin:.3e} <= 0")
-        kern = kern.rescale(auto_scale_target / amin)
-        kern.params["amplitude"] = (float(params.get("amplitude", 1.0))
-                                    * auto_scale_target / amin)
-    return kern
+        scale = auto_scale_target / amin
+        fx, dfx = fx * scale, dfx * scale
+    return Kernel(grid, (fx, dfx, fy, dfy))
 
 
 def convolve(kernel: Kernel, phi: ScalarField) -> ScalarField:

@@ -136,26 +136,30 @@ class OptimizerState:
     trajectory: StateTrajectory = None
 
 
+# the backtracking line search: sufficient-decrease constant, step shrink
+# factor and the most shrinks tried before the search fails
+ARMIJO_C = 1e-4
+SHRINK = 0.5
+MAX_SHRINKS = 40
+
+
 def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
-                               tol: float = None, armijo_c: float = 1e-4,
-                               shrink: float = 0.5, tau0: float = None,
-                               max_shrinks: int = 40,
-                               callback=None) -> OptimizerState:
+                               tol: float = None, callback=None) -> OptimizerState:
     """Minimize the reduced cost over the box by projected gradient descent.
 
-    The step size is reset to ``tau0`` (default 1/(1 + gamma)) each iteration
-    and backtracked until the projected step satisfies the sufficient
-    decrease J(w) <= J(v) - (armijo_c / tau) ||v - w||^2.  Stops when the
-    fixed-point residual drops below ``tol`` (default 1e-5 times the initial
-    residual) or after ``max_iter`` iterations.
+    The step size is reset to tau0 = 1/(1 + gamma) each iteration and
+    multiplied by ``SHRINK`` until the projected step satisfies the
+    sufficient decrease J(w) <= J(v) - (ARMIJO_C / tau) ||v - w||^2, at
+    most ``MAX_SHRINKS`` times.  Stops when the fixed-point residual drops
+    below ``tol`` (default 1e-5 times the initial residual) or after
+    ``max_iter`` iterations.
     """
     if problem.bounds is None:
         raise ValueError("projected gradient descent needs control bounds")
     fwd = problem.forward
     dt = fwd.scheme.dt
     gamma = problem.weights.gamma
-    if tau0 is None:
-        tau0 = 1.0 / (1.0 + gamma)
+    tau0 = 1.0 / (1.0 + gamma)
 
     v = project_box(v0, problem.bounds)
     traj = fwd.run(v, problem.init)
@@ -181,7 +185,7 @@ def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
         tau = tau0
         shrinks = 0
         accepted = False
-        while shrinks <= max_shrinks:
+        while shrinks <= MAX_SHRINKS:
             w = project_box(control_axpy(-tau, g, v), problem.bounds)
             step = [vk - wk for vk, wk in zip(v, w, strict=True)]
             step_sq = control_inner(step, step, dt)
@@ -192,12 +196,12 @@ def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
                 return state
             traj_w = fwd.run(w, problem.init)
             J_w = evaluate_cost(traj_w, w, problem.targets, problem.weights)
-            if J_w <= J - (armijo_c / tau) * step_sq:
+            if J_w <= J - (ARMIJO_C / tau) * step_sq:
                 v, traj, J = w, traj_w, J_w
                 accepted = True
                 state.step_norm_history.append(float(np.sqrt(step_sq)))
                 break
-            tau *= shrink
+            tau *= SHRINK
             shrinks += 1
         state.tau_history.append(tau)
         state.shrink_history.append(shrinks)

@@ -11,15 +11,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def stencils(kernel):
+    """The 2-D tables (K, d/dx K, d/dy K) of a separable kernel.
+
+    Entry [m, l] is the value at offset ((m - nx + 1) dx, (l - ny + 1) dy),
+    formed from ``kernel.factors`` as outer products.
+    """
+    fx, dfx, fy, dfy = kernel.factors
+    return np.outer(fx, fy), np.outer(dfx, fy), np.outer(fx, dfy)
+
+
 def direct_convolution(kernel, phi_values, stencil=None):
     """O(N^2) double sum of a tabulated stencil against a cell field.
 
-    ``stencil`` defaults to the kernel's own; pass ``kernel.gx_stencil`` or
-    ``kernel.gy_stencil`` for the components of (grad K * phi).
+    ``stencil`` defaults to the kernel's own; pass the second or third table
+    of ``stencils(kernel)`` for the components of (grad K * phi).
     """
     nx, ny = phi_values.shape
     out = np.zeros_like(phi_values)
-    st = kernel.stencil if stencil is None else stencil
+    st = stencils(kernel)[0] if stencil is None else stencil
     for i in range(nx):
         for j in range(ny):
             # reversed slice puts K((i-k) dx, (j-l) dy) against phi[k, l]
@@ -32,10 +42,11 @@ def direct_grad_dot_convolution(kernel, qx_cc, qy_cc):
     """Direct double sum of grad K (x - y) . grad q(y)."""
     nx, ny = qx_cc.shape
     out = np.zeros_like(qx_cc)
+    _, gx, gy = stencils(kernel)
     for i in range(nx):
         for j in range(ny):
-            slx = kernel.gx_stencil[i:i + nx, j:j + ny][::-1, ::-1]
-            sly = kernel.gy_stencil[i:i + nx, j:j + ny][::-1, ::-1]
+            slx = gx[i:i + nx, j:j + ny][::-1, ::-1]
+            sly = gy[i:i + nx, j:j + ny][::-1, ::-1]
             out[i, j] = np.sum(slx * qx_cc) + np.sum(sly * qy_cc)
     return out * kernel.grid.cell_volume
 
@@ -51,8 +62,9 @@ def _edge_faces(tx, ty):
 def direct_grad_convolution(kernel, phi_values):
     """(grad K * phi) on faces as (ux, uy), by direct sums over the gradient
     stencils at cell centers, averaged to faces by ``_edge_faces``."""
-    return _edge_faces(direct_convolution(kernel, phi_values, kernel.gx_stencil),
-                       direct_convolution(kernel, phi_values, kernel.gy_stencil))
+    _, gx, gy = stencils(kernel)
+    return _edge_faces(direct_convolution(kernel, phi_values, gx),
+                       direct_convolution(kernel, phi_values, gy))
 
 
 def direct_neumann_laplacian(v, dx, dy):
@@ -172,7 +184,7 @@ def direct_advect_vector(ux, uy, wx, wy, dx, dy):
 def pairwise_mixing_energy(kernel, phi_values):
     """(1/4) sum_x sum_y K(x-y) (phi(x) - phi(y))^2 dx dy dx dy, literal loops."""
     nx, ny = phi_values.shape
-    st = kernel.stencil
+    st = stencils(kernel)[0]
     vol = kernel.grid.cell_volume
     total = 0.0
     for i in range(nx):
@@ -268,9 +280,9 @@ def check_admissibility(kernel, samples=8, rng=None):
         raise ValueError("samples must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    flip = kernel.stencil[::-1, ::-1]
-    max_asym = float(np.max(np.abs(kernel.stencil - flip)))
-    scale = float(np.max(np.abs(kernel.stencil))) or 1.0
+    st = stencils(kernel)[0]
+    max_asym = float(np.max(np.abs(st - st[::-1, ::-1])))
+    scale = float(np.max(np.abs(st))) or 1.0
     symmetric = max_asym <= 1e-12 * scale
     mass_min = float(kernel.mass_field.values.min())
     mass_ok = mass_min >= -1e-12

@@ -337,6 +337,17 @@ def test_diagnostics_rows():
         assert row["min_phi"] == pytest.approx(0.2, abs=1e-10)
 
 
+@pytest.mark.parametrize("component", ["ux", "uy"])
+def test_diagnostics_max_u_keeps_a_nan(component):
+    # Python's max(a, nan) returns a, so a NaN in the second component hid
+    solver, init = default_setup(n=16, nt=2)
+    traj = solver.run(zero_control(solver.grid, 2), init)
+    getattr(traj.u[1], component)[3, 4] = np.nan
+    rows = diagnostics(traj, solver.kernel, solver.potential)
+    assert np.isnan(rows[1]["max_u"])
+    assert np.isfinite(rows[0]["max_u"]) and np.isfinite(rows[2]["max_u"])
+
+
 def test_solve_phase_keeps_cell_sum(rng, monkeypatch):
     solver, _ = default_setup(nt=1)
     noisy_solves(solver, monkeypatch)

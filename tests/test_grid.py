@@ -5,7 +5,7 @@ import sympy as sp
 from nchns import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
                    gradient_cc_to_face, inner_product_l2, laplacian_neumann,
-                   node_shear_rates, norm_l2, sym_gradient)
+                   node_shear_rates, norm_l2)
 from nchns.grid import (GridMismatchError, HypothesisViolationError,
                         _nodes_from_cc, full_gradient_cc, laplacian_neumann_array)
 
@@ -160,19 +160,24 @@ def test_node_shear_rates_match_ghost_cell_loops(rng):
 # ---------------------------------------------------------------------------
 # symmetric gradient
 
+def _sym_gradient(u):
+    """(xx, xy, yy) of (grad u + grad u^T)/2, from ``full_gradient_cc``."""
+    dxx, dxy, dyx, dyy = full_gradient_cc(u, node_shear_rates(u))
+    return dxx, 0.5 * (dxy + dyx), dyy
+
+
 def test_sym_gradient_of_zero(grid32):
-    u = VectorField.zeros(grid32)
-    d = sym_gradient(u, node_shear_rates(u))
-    assert np.all(d.xx == 0) and np.all(d.xy == 0) and np.all(d.yy == 0)
+    xx, xy, yy = _sym_gradient(VectorField.zeros(grid32))
+    assert np.all(xx == 0) and np.all(xy == 0) and np.all(yy == 0)
 
 
 def test_sym_gradient_rigid_rotation(grid32):
     u = VectorField.from_functions(grid32, lambda x, y: -(y - 0.5),
                                    lambda x, y: x - 0.5)
-    d = sym_gradient(u, node_shear_rates(u))
-    np.testing.assert_allclose(d.xx, 0.0, atol=1e-12)
-    np.testing.assert_allclose(d.yy, 0.0, atol=1e-12)
-    np.testing.assert_allclose(d.xy[1:-1, 1:-1], 0.0, atol=1e-12)
+    xx, xy, yy = _sym_gradient(u)
+    np.testing.assert_allclose(xx, 0.0, atol=1e-12)
+    np.testing.assert_allclose(yy, 0.0, atol=1e-12)
+    np.testing.assert_allclose(xy[1:-1, 1:-1], 0.0, atol=1e-12)
 
 
 def test_sym_gradient_shear():
@@ -180,8 +185,8 @@ def test_sym_gradient_shear():
     for n in (16, 32, 64):
         grid = Grid2D(n, n, 1.0, 1.0)
         u = VectorField.from_functions(grid, lambda x, y: y, lambda x, y: 0.0 * x)
-        d = sym_gradient(u, node_shear_rates(u))
-        errs.append(np.max(np.abs(d.xy[1:-1, 1:-1] - 0.5)))
+        _, xy, _ = _sym_gradient(u)
+        errs.append(np.max(np.abs(xy[1:-1, 1:-1] - 0.5)))
         hs.append(grid.dx)
     assert errs[0] < 1e-12  # linear profile: exact, not just O(dx^2)
 
@@ -286,7 +291,7 @@ def test_velocity_operators_leave_inputs_unchanged(rng):
     div_viscous_stress(signed_nu, w, rw, require_positive=False)
     advect_vector(u, w, rw)
     advect_vector(w, w, rw)
-    sym_gradient(w, rw)
+    full_gradient_cc(w, rw)
     full_gradient_cc(u, ru)
     for a, b in zip(inputs, kept, strict=True):
         assert np.array_equal(a, b)

@@ -4,10 +4,12 @@ import pytest
 from nchns import (Grid2D, ScalarField, convolve, grad_dot_convolve,
                    gradient_cc_to_face, inner_product_l2, make_kernel)
 from nchns.grid import GridMismatchError, vector_to_cc
-from nchns.kernels import Kernel
+from nchns import kernels
+from nchns.kernels import Kernel, _row_sums, _toeplitz
 
 from oracles import (check_admissibility, direct_convolution,
-                     direct_grad_convolution, direct_grad_dot_convolution)
+                     direct_grad_convolution, direct_grad_dot_convolution,
+                     stencils)
 
 
 @pytest.fixture
@@ -22,8 +24,7 @@ def _rel_err(fast, direct):
 def _constant_kernel(grid, c):
     """K = c everywhere, grad K = 0: constant x factor, unit y factor."""
     nx, ny = 2 * grid.nx - 1, 2 * grid.ny - 1
-    return Kernel(grid, "constant", {}, (np.full(nx, c), np.zeros(nx),
-                                         np.ones(ny), np.zeros(ny)))
+    return Kernel(grid, (np.full(nx, c), np.zeros(nx), np.ones(ny), np.zeros(ny)))
 
 
 def test_constant_kernel_convolution(grid16, rng):
@@ -92,22 +93,59 @@ def test_auto_scale_hits_target(rng):
     kern = make_kernel(grid, "gaussian", width=0.2, auto_scale_target=1.1)
     assert abs(kern.mass_field.values.min() - 1.1) < 1e-12
 
-    # rescale, which auto-scaling calls, scales every output by f
+    # auto-scaling multiplies the amplitude: every output scales by f
     grid = Grid2D(24, 40, 1.0, 1.7)
     kern = make_kernel(grid, "gaussian", width=0.2, amplitude=1.3)
     phi = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-
-    def outputs(k):
-        return (convolve(k, phi).values, k.mass_field.values,
-                grad_dot_convolve(k, gradient_cc_to_face(phi)).values)
-
     f = 0.37
-    scaled = kern.rescale(f)
-    for a, b in zip(outputs(scaled), outputs(kern), strict=True):
+    scaled = make_kernel(grid, "gaussian", width=0.2, amplitude=1.3 * f)
+    for a, b in zip(_outputs(scaled, phi), _outputs(kern, phi), strict=True):
         assert _rel_err(a, f * b) <= 1e-13
-    # rescaling changes only the x factors: the y matrices are shared
-    assert scaled._toeplitz[2] is kern._toeplitz[2]
-    assert scaled._toeplitz[3] is kern._toeplitz[3]
+
+
+def _outputs(kern, phi):
+    return (convolve(kern, phi).values, kern.mass_field.values,
+            grad_dot_convolve(kern, gradient_cc_to_face(phi)).values)
+
+
+@pytest.mark.parametrize("n", [4, 5, 13, 31, 64, 96, 128])
+def test_row_sums_match_the_toeplitz_rows_bit_for_bit(n, rng):
+    f = rng.standard_normal(2 * n - 1)
+    assert np.array_equal(_row_sums(f, n), _toeplitz(f, n).sum(axis=1))
+
+
+def test_make_kernel_forms_each_toeplitz_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(f, n):
+        calls.append(n)
+        return _toeplitz(f, n)
+
+    monkeypatch.setattr(kernels, "_toeplitz", counting)
+    make_kernel(Grid2D(24, 40, 2.0, 1.0), "gaussian", width=0.2,
+                auto_scale_target=1.1)
+    assert sorted(calls) == [24, 24, 40, 40]
+
+
+@pytest.mark.parametrize("nx,ny,lx", [(32, 32, 1.0), (24, 40, 2.0)])
+def test_auto_scaled_mass_is_summed_from_the_scaled_tables(nx, ny, lx):
+    kern = make_kernel(Grid2D(nx, ny, lx, 1.0), "gaussian", width=0.2,
+                       auto_scale_target=1.1)
+    tx, _, ty, _ = kern._toeplitz
+    assert np.array_equal(kern.mass_field.values,
+                          np.outer(tx.sum(axis=1), ty.sum(axis=1)))
+
+
+def test_auto_scale_equals_the_scaled_amplitude(rng):
+    # the auto-scaled kernel is the kernel of amplitude s = target / min a
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    target = 1.1
+    s = target / make_kernel(grid, "gaussian", width=0.2).mass_field.values.min()
+    auto = make_kernel(grid, "gaussian", width=0.2, auto_scale_target=target)
+    by_amplitude = make_kernel(grid, "gaussian", width=0.2, amplitude=s)
+    phi = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
+    for a, b in zip(_outputs(auto, phi), _outputs(by_amplitude, phi), strict=True):
+        assert _rel_err(a, b) <= 1e-14
 
 
 def test_grad_convolve_commutes_with_gradient():
@@ -180,11 +218,11 @@ def test_make_kernel_matches_direct_sums(nx, ny, family, params, symmetric, rng)
     # random non-symmetric factors catch a flipped or shifted factor
     grid = Grid2D(nx, ny, 1.0, 1.7)
     if family == "random":
-        kern = Kernel(grid, family, params, tuple(
+        kern = Kernel(grid, tuple(
             rng.standard_normal(2 * n - 1) for n in (nx, nx, ny, ny)))
     else:
         kern = make_kernel(grid, family, **params)
-    st = kern.stencil
+    st = stencils(kern)[0]
     assert np.array_equal(st, st[::-1, ::-1]) == symmetric
     _assert_matches_direct_sums(kern, rng.standard_normal((nx, ny)))
 
@@ -193,17 +231,17 @@ def test_kernel_checks_factor_lengths():
     grid = Grid2D(8, 13)
     taps = (15, 15, 25, 25)
     good = tuple(np.zeros(n) for n in taps)
-    Kernel(grid, "gaussian", {}, good)
+    Kernel(grid, good)
     # a 17-tap factor on 8 cells would shift the kernel off its centre tap
     for i, n in enumerate(taps):
         bad = list(good)
         bad[i] = np.zeros(n + 2)
         with pytest.raises(ValueError, match=f"{n} taps"):
-            Kernel(grid, "gaussian", {}, tuple(bad))
+            Kernel(grid, tuple(bad))
     with pytest.raises(ValueError, match="15 taps"):
-        Kernel(grid, "gaussian", {}, (np.zeros((15, 1)),) + good[1:])
+        Kernel(grid, (np.zeros((15, 1)),) + good[1:])
     with pytest.raises(ValueError, match="four factors"):
-        Kernel(grid, "gaussian", {}, good[:3])
+        Kernel(grid, good[:3])
 
 
 def test_admissibility_delta_kernel(grid16):
@@ -229,7 +267,7 @@ def test_admissibility_flags_asymmetric_stencil(grid16):
     fx[10] = 1.0  # no mirror partner
     fy = np.zeros(31)
     fy[15] = 1.0
-    kern = Kernel(grid16, "gaussian", {}, (fx, np.zeros(31), fy, np.zeros(31)))
+    kern = Kernel(grid16, (fx, np.zeros(31), fy, np.zeros(31)))
     report = check_admissibility(kern, samples=1)
     assert not report.symmetric
     assert not report.passed
