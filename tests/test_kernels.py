@@ -88,6 +88,11 @@ def test_mass_field_interior_plateau():
     assert a.min() >= 0.0
 
 
+def _outputs(kern, phi):
+    return (convolve(kern, phi).values, kern.mass_field.values,
+            grad_dot_convolve(kern, gradient_cc_to_face(phi)).values)
+
+
 def test_auto_scale_hits_target(rng):
     grid = Grid2D(32, 32)
     kern = make_kernel(grid, "gaussian", width=0.2, auto_scale_target=1.1)
@@ -101,11 +106,6 @@ def test_auto_scale_hits_target(rng):
     scaled = make_kernel(grid, "gaussian", width=0.2, amplitude=1.3 * f)
     for a, b in zip(_outputs(scaled, phi), _outputs(kern, phi), strict=True):
         assert _rel_err(a, f * b) <= 1e-13
-
-
-def _outputs(kern, phi):
-    return (convolve(kern, phi).values, kern.mass_field.values,
-            grad_dot_convolve(kern, gradient_cc_to_face(phi)).values)
 
 
 @pytest.mark.parametrize("n", [4, 5, 13, 31, 64, 96, 128])
