@@ -157,12 +157,15 @@ class AdjointSolver:
 
     def run(self, traj: StateTrajectory, targets: Targets,
             weights: CostWeights) -> AdjointTrajectory:
-        """March from the terminal conditions down to t = 0, storing all steps."""
+        """March from the terminal conditions down to t = 0, storing all steps.
+
+        Only the lengths are checked here; ``ControlProblem`` validates the
+        targets' grids, values and divergence once, where it is built.
+        """
         fwd = self.fwd
         nt = fwd.scheme.nt
-        if traj.nt != nt:
-            raise ValueError("state trajectory does not match the scheme")
-        targets.validate(fwd.grid, nt, fwd.scheme.tol_p)
+        if not nt == traj.nt == len(targets.u_running) == len(targets.phi_running):
+            raise ValueError("state trajectory or targets do not match the scheme")
         terms = tracking_terms(traj, targets, weights)   # level nt first
         term = next(terms, None)
 

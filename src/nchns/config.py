@@ -55,12 +55,6 @@ SCHEMA = {
     "viscosity.nu_min": (float, 0.4),
     "viscosity.nu_max": (float, 1.6),
     "hypotheses.c1": (float, 0.1),
-    "hypotheses.c2": (float, 1.0),
-    "hypotheses.c3": (float, 1.0),
-    "hypotheses.c4": (float, 5.0),
-    "hypotheses.c5": (float, 1.0),
-    "hypotheses.p": (float, 4.0),
-    "hypotheses.r": (float, 4.0 / 3.0),
     "init.phi": (str, "uniform(0)"),
     "init.u": (str, "zero"),
     "targets.kind": (str, "from_control"),
@@ -91,11 +85,7 @@ class RunConfig:
                       self["grid.lx"], self["grid.ly"])
 
     def constants(self) -> HypothesisConstants:
-        return HypothesisConstants(
-            c1=self["hypotheses.c1"], c2=self["hypotheses.c2"],
-            c3=self["hypotheses.c3"], c4=self["hypotheses.c4"],
-            c5=self["hypotheses.c5"], p=self["hypotheses.p"],
-            r=self["hypotheses.r"])
+        return HypothesisConstants(c1=self["hypotheses.c1"])
 
     def potential(self) -> DoubleWell:
         return DoubleWell(scale=self["potential.scale"])

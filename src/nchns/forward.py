@@ -27,9 +27,8 @@ import numpy as np
 
 from .grid import (Grid2D, ScalarField, VectorField, advect_scalar,
                    advect_vector, divergence_face_to_cc, div_viscous_stress,
-                   gradient_cc_to_face, inner_product_l2, integral,
-                   laplacian_neumann_array, node_shear_rates, read_only,
-                   scalar_to_xfaces, scalar_to_yfaces)
+                   gradient_cc_to_face, inner_product_l2, laplacian_neumann_array,
+                   node_shear_rates, read_only, scalar_to_xfaces, scalar_to_yfaces)
 from .kernels import Kernel, convolve
 from .linsolve import (HelmholtzNeumannSolver, NeumannPoissonSolver,
                        SolverConvergenceError)
@@ -67,10 +66,6 @@ class TimeScheme:
         if not (0.0 < self.dt < np.inf and 0.0 < self.tol_p < np.inf) or self.nt < 1:
             raise ValueError("need finite dt > 0, finite tol_p > 0 and nt >= 1, got "
                              f"dt = {self.dt}, tol_p = {self.tol_p}, nt = {self.nt}")
-
-    @property
-    def final_time(self) -> float:
-        return self.dt * self.nt
 
 
 @dataclass
@@ -131,8 +126,8 @@ def kelvin_force(mu: ScalarField, grad_phi: VectorField) -> VectorField:
     return VectorField(grad_phi.grid, fx, fy)
 
 
-def stress_minus_advection(nu_cc: ScalarField, w: VectorField, a: VectorField,
-                           require_positive: bool = True) -> VectorField:
+def stress_minus_advection(nu_cc: ScalarField, w: VectorField,
+                           a: VectorField) -> VectorField:
     """2 div(nu D w) - (a . grad) w on faces: the two terms that difference w.
 
     Both read the node shear rates of w, taken once here and freed on
@@ -140,7 +135,7 @@ def stress_minus_advection(nu_cc: ScalarField, w: VectorField, a: VectorField,
     a time.
     """
     rates = node_shear_rates(w)
-    out = div_viscous_stress(nu_cc, w, rates, require_positive)
+    out = div_viscous_stress(nu_cc, w, rates)
     out -= advect_vector(a, w, rates)
     return out
 
@@ -305,28 +300,3 @@ class ForwardSolver:
             traj.mu.append(mu_new)
             traj.u.append(u_new)
         return traj
-
-
-DIAGNOSTIC_COLUMNS = ("step", "time", "mass", "kinetic_energy", "free_energy",
-                      "max_div", "max_u", "min_phi", "max_phi")
-
-
-def diagnostics(traj: StateTrajectory, kernel: Kernel, potential: DoubleWell):
-    """Per-step observables as a list of rows matching DIAGNOSTIC_COLUMNS."""
-    rows = []
-    for k in range(traj.nt + 1):
-        u, phi = traj.u[k], traj.phi[k]
-        kin, mixing, bulk = total_energy(u, phi, kernel, potential)
-        rows.append({
-            "step": k,
-            "time": float(traj.times[k]),
-            "mass": integral(phi),
-            "kinetic_energy": kin,
-            "free_energy": mixing + bulk,
-            "max_div": float(np.max(np.abs(divergence_face_to_cc(u).values))),
-            # np.maximum, unlike max(), keeps a NaN from either component
-            "max_u": float(np.maximum(np.max(np.abs(u.ux)), np.max(np.abs(u.uy)))),
-            "min_phi": float(phi.values.min()),
-            "max_phi": float(phi.values.max()),
-        })
-    return rows

@@ -72,16 +72,6 @@ class Grid2D:
         y = (np.arange(self.ny) + 0.5) * self.dy
         return np.meshgrid(x, y, indexing="ij")
 
-    def xface_centers(self):
-        x = np.arange(self.nx + 1) * self.dx
-        y = (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
-
-    def yface_centers(self):
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        y = np.arange(self.ny + 1) * self.dy
-        return np.meshgrid(x, y, indexing="ij")
-
     def nodes(self):
         x = np.arange(self.nx + 1) * self.dx
         y = np.arange(self.ny + 1) * self.dy
@@ -115,11 +105,6 @@ class ScalarField:
     @classmethod
     def full(cls, grid: Grid2D, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.nx, grid.ny), float(value)))
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
-        X, Y = grid.cell_centers()
-        return cls(grid, np.asarray(fn(X, Y), dtype=np.float64))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
@@ -159,13 +144,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid: Grid2D) -> "VectorField":
         return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
-
-    @classmethod
-    def from_functions(cls, grid: Grid2D, fx, fy) -> "VectorField":
-        XF, YF = grid.xface_centers()
-        XG, YG = grid.yface_centers()
-        return cls(grid, np.asarray(fx(XF, YF), dtype=np.float64),
-                   np.asarray(fy(XG, YG), dtype=np.float64))
 
     @classmethod
     def from_stream_function(cls, grid: Grid2D, psi_nodes: np.ndarray) -> "VectorField":
@@ -263,12 +241,6 @@ def divergence_face_to_cc(w: VectorField) -> ScalarField:
     dy_part /= g.dy
     out += dy_part
     return ScalarField(g, out)
-
-
-def laplacian_neumann(phi: ScalarField) -> ScalarField:
-    """5-point Laplacian with mirror (zero-flux) ghost cells."""
-    g = phi.grid
-    return ScalarField(g, laplacian_neumann_array(phi.values, g))
 
 
 def laplacian_neumann_array(v: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -398,28 +370,22 @@ def full_gradient_cc(u: VectorField, rates):
     return dxx, _nodes_to_cc(rates[0]), _nodes_to_cc(rates[1]), dyy
 
 
-class HypothesisViolationError(ValueError):
-    """Raised when an input violates one of the model hypotheses."""
-
-
-def div_viscous_stress(nu_cc: ScalarField, u: VectorField, rates,
-                       require_positive: bool = True) -> VectorField:
+def div_viscous_stress(nu_cc: ScalarField, u: VectorField, rates) -> VectorField:
     """Conservative discretization of 2 div(nu D u) on faces.
 
     ``rates`` is ``node_shear_rates(u)``: the shear stress
     2 nu_node (d_y ux + d_x uy) / 2 lives at the nodes, with the viscosity
     given at cell centers and averaged arithmetically to them.  The normal
-    stresses 2 nu d_n u difference ``u`` across each cell here.
-    ``require_positive`` applies to the physical viscosity; linearized
-    solvers pass products like nu'(phi)*eta that may change sign.
+    stresses 2 nu d_n u difference ``u`` across each cell here.  The
+    operator is linear in ``nu_cc`` and takes it as given: ``nu_cc`` may
+    change sign, as the tangent's nu'(phi) dphi does.  The physical
+    viscosity is positive by construction (``physics.Viscosity``).
 
     Allocates the two output face arrays, one cell-shaped work array, the
     node shear stress and the two arrays of ``_nodes_from_cc``; every
     other intermediate is written into those.
     """
     _require_same_grid(nu_cc, u)
-    if require_positive and np.any(nu_cc.values <= 0.0):
-        raise HypothesisViolationError("viscosity must be positive everywhere")
     g = u.grid
     nu = nu_cc.values
     txy = np.add(*rates)
@@ -534,7 +500,7 @@ def _advect_component_into(out, un, ut, w, dw_t, h):
 
 
 # ---------------------------------------------------------------------------
-# inner products / norms
+# inner products and integrals
 
 def inner_product_l2(f, g) -> float:
     """Midpoint-quadrature L2 inner product for matching field types.
@@ -554,10 +520,6 @@ def inner_product_l2(f, g) -> float:
         inner = np.vdot(f.ux, g.ux) + np.vdot(f.uy, g.uy)
         return float((inner - 0.5 * boundary) * vol)
     raise TypeError("inner_product_l2 requires two fields of the same kind")
-
-
-def norm_l2(f) -> float:
-    return float(np.sqrt(max(inner_product_l2(f, f), 0.0)))
 
 
 def integral(phi: ScalarField) -> float:

@@ -24,7 +24,7 @@ from .forward import StateTrajectory
 from .grid import VectorField, inner_product_l2
 from .problem import (ControlBounds, ControlProblem, CostWeights, Targets,
                       tracking_terms)
-from .tangent import TangentTrajectory, run_tangent
+from .tangent import TangentTrajectory
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +95,6 @@ def kkt_residual(v, g, bounds: ControlBounds, dt: float) -> float:
     probe = project_box(control_axpy(-1.0, g, v), bounds)
     diff = [vk - pk for vk, pk in zip(v, probe, strict=True)]
     return control_norm(diff, dt)
-
-
-def complementarity_violation(v, g, bounds: ControlBounds) -> float:
-    """Worst violation of the active-set sign conditions.
-
-    Strictly interior faces need |g| small; faces at the lower bound need
-    g >= 0 up to slack; faces at the upper bound need g <= 0 up to slack.
-    Returns the max over all faces and steps of the respective defect.
-    """
-    worst = 0.0
-    for vk, gk, lo, hi in zip(v, g, bounds.lower, bounds.upper, strict=True):
-        for vc, gc, lc, hc in ((vk.ux, gk.ux, lo.ux, hi.ux),
-                               (vk.uy, gk.uy, lo.uy, hi.uy)):
-            at_lo = vc <= lc
-            at_hi = vc >= hc
-            interior = ~(at_lo | at_hi)
-            if interior.any():
-                worst = max(worst, float(np.max(np.abs(gc[interior]))))
-            if at_lo.any():
-                worst = max(worst, float(np.max(np.maximum(-gc[at_lo], 0.0))))
-            if at_hi.any():
-                worst = max(worst, float(np.max(np.maximum(gc[at_hi], 0.0))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -214,64 +191,3 @@ def projected_gradient_descent(problem: ControlProblem, v0, max_iter: int = 100,
     state.v, state.iterations = v, max_iter
     state.trajectory = traj
     return state
-
-
-# ---------------------------------------------------------------------------
-# quadratic-remainder (Taylor) verification
-
-@dataclass
-class TaylorReport:
-    eps: list
-    remainders: list
-    pair_slopes: list
-    slope: float
-    derivative: float
-    cost_at_v: float
-
-    @property
-    def passed(self) -> bool:
-        return np.isfinite(self.slope) and 1.8 <= self.slope <= 2.2
-
-
-def taylor_test(problem: ControlProblem, v, h,
-                eps_sweep=(1e-1, 1e-2, 1e-3, 1e-4),
-                derivative: float = None) -> TaylorReport:
-    """Quadratic-remainder check of a directional derivative of the cost.
-
-    R(eps) = |J(v + eps h) - J(v) - eps * derivative| must shrink at slope 2
-    in a log-log fit over the sweep (points below the round-off floor are
-    dropped from the fit).  ``derivative`` defaults to the tangent-route
-    value; to test another representation, such as the adjoint gradient
-    paired with h, pass its value.
-    """
-    if len(eps_sweep) < 2:
-        raise ValueError("need at least two sweep values")
-    fwd = problem.forward
-    traj = fwd.run(v, problem.init)
-    J0 = evaluate_cost(traj, v, problem.targets, problem.weights)
-    if derivative is None:
-        tan = run_tangent(fwd, traj, h)
-        derivative = directional_derivative_via_tangent(
-            traj, tan, problem.targets, problem.weights, v, h)
-
-    eps_sweep = sorted(eps_sweep, reverse=True)
-    remainders = []
-    for eps in eps_sweep:
-        v_eps = control_axpy(eps, h, v)
-        J_eps = evaluate_cost(fwd.run(v_eps, problem.init), v_eps,
-                              problem.targets, problem.weights)
-        remainders.append(abs(J_eps - J0 - eps * derivative))
-
-    floor = 1e-13 * max(1.0, abs(J0))
-    pts = [(e, r) for e, r in zip(eps_sweep, remainders) if r > floor]
-    pair_slopes = []
-    for (e1, r1), (e2, r2) in zip(pts[:-1], pts[1:]):
-        pair_slopes.append(float(np.log(r1 / r2) / np.log(e1 / e2)))
-    if len(pts) >= 2:
-        le = np.log([p[0] for p in pts])
-        lr = np.log([p[1] for p in pts])
-        slope = float(np.polyfit(le, lr, 1)[0])
-    else:
-        slope = float("nan")
-    return TaylorReport(list(eps_sweep), remainders, pair_slopes, slope,
-                        float(derivative), J0)

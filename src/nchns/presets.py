@@ -72,14 +72,14 @@ def vector_preset(grid: Grid2D, spec: str) -> VectorField:
     name, args = parse_preset(spec)
     if name == "zero":
         return VectorField.zeros(grid)
-    if name in ("taylor-vortex", "taylor_vortex"):
+    if name == "taylor-vortex":
         amp = args[0] if args else 1.0
         kx = int(args[1]) if len(args) > 1 else 1
         ky = int(args[2]) if len(args) > 2 else 1
         psi = _stream_nodes(grid, lambda X, Y: amp / np.pi * np.sin(
             np.pi * kx * X / grid.lx) * np.sin(np.pi * ky * Y / grid.ly))
         return VectorField.from_stream_function(grid, psi)
-    if name in ("stream-sine", "stream_sine"):
+    if name == "stream-sine":
         # superposition of two vortical modes; handy as a generic direction
         amp = args[0] if args else 1.0
         psi = _stream_nodes(grid, lambda X, Y: amp * (
@@ -87,7 +87,7 @@ def vector_preset(grid: Grid2D, spec: str) -> VectorField:
             + 0.5 * np.sin(2.0 * np.pi * X / grid.lx)
             * np.sin(np.pi * Y / grid.ly)))
         return VectorField.from_stream_function(grid, psi)
-    if name in ("random-solenoidal", "random_solenoidal"):
+    if name == "random-solenoidal":
         amp = args[0] if args else 1.0
         seed = int(args[1]) if len(args) > 1 else 0
         return random_solenoidal(grid, amp, np.random.default_rng(seed))

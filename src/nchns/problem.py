@@ -8,7 +8,9 @@ cost, its tangent derivative and the adjoint's sources all read it.
 
 A level that is the same at every step (a resting target, a constant box)
 is stored once: the list holds nt references to one read-only field, and
-the checks visit each distinct level once.
+the checks visit each distinct level once.  ``ControlProblem`` runs the
+checks of its targets and bounds once, where the problem is built; the
+cost, the adjoint sweep and the optimizer read them as given.
 """
 
 from __future__ import annotations
@@ -77,20 +79,26 @@ class Targets:
         return cls([u] * nt, [phi] * nt, u, phi)
 
     def validate(self, grid: Grid2D, nt: int, tol_p: float):
-        """Check lengths, grids and the velocity targets' divergence.
+        """Check lengths, grids, finiteness and the velocity targets' divergence.
 
-        A level shared by several entries is checked once.
+        A level shared by several entries is checked once.  The error names
+        the velocity or phase target at fault.
         """
         if len(self.u_running) != nt or len(self.phi_running) != nt:
             raise ValueError("running targets must have one entry per time step")
         for w in _once([*self.phi_running, self.phi_terminal]):
             if w.grid != grid:
                 raise ValueError("phase target grid mismatch")
+            if not np.all(np.isfinite(w.values)):
+                raise ValueError("phase target is not finite somewhere")
         for w in _once([*self.u_running, self.u_terminal]):
             if w.grid != grid:
                 raise ValueError("velocity target grid mismatch")
+            if not (np.all(np.isfinite(w.ux)) and np.all(np.isfinite(w.uy))):
+                raise ValueError("velocity target is not finite somewhere")
             dmax = float(np.max(np.abs(divergence_face_to_cc(w).values)))
-            if dmax > tol_p:
+            # written so that a NaN, for which every comparison is False, fails
+            if not dmax <= tol_p:
                 raise ValueError(
                     f"velocity target divergence {dmax:.3e} exceeds {tol_p:.3e}")
 

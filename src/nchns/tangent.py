@@ -92,7 +92,7 @@ class TangentSolver:
         dnu_cc = ScalarField(grid, fwd.viscosity.dnu(state_phi_new.values)
                              * dphi_new.values)
         drhs = stress_minus_advection(nu_cc, du, state_u)
-        drhs += stress_minus_advection(dnu_cc, state_u, du, require_positive=False)
+        drhs += stress_minus_advection(dnu_cc, state_u, du)
         drhs += kelvin_force(dmu_new, gradient_cc_to_face(state_phi_new))
         drhs += kelvin_force(state_mu_new, gradient_cc_to_face(dphi_new))
         drhs += h

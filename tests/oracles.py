@@ -1,14 +1,24 @@
-"""Independent reference implementations used only by the test suite.
+"""Independent reference implementations and the verification harness.
 
-Everything here is written as plain loops or direct summation so it shares
-no code path with the package's fast implementations.  The hypothesis checks
-at the end sample the paper's conditions on a kernel, a potential and a
-viscosity profile; the solvers never read them.
+The reference implementations are written as plain loops or direct
+summation so they share no code path with the package's fast
+implementations.  The harness builds test fields from analytic functions and
+checks what a solve computes: the Taylor test of the cost's derivative, the
+complementarity conditions of the optimality system and per-step
+diagnostics.  The hypothesis checks at the end sample the paper's
+conditions on a kernel, a potential and a viscosity profile.  No solve reads
+any of it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from nchns import (ScalarField, VectorField, directional_derivative_via_tangent,
+                   divergence_face_to_cc, evaluate_cost, inner_product_l2,
+                   integral, run_tangent, total_energy)
+from nchns.grid import laplacian_neumann_array
+from nchns.optimize import control_axpy
 
 
 def stencils(kernel):
@@ -234,6 +244,156 @@ def fit_slope(xs, ys):
 
 
 # ---------------------------------------------------------------------------
+# test fields, norms and the Laplacian of a field
+
+def xface_centers(grid):
+    """Meshgrid (X, Y) of x-face centers, shape (nx+1, ny)."""
+    x = np.arange(grid.nx + 1) * grid.dx
+    y = (np.arange(grid.ny) + 0.5) * grid.dy
+    return np.meshgrid(x, y, indexing="ij")
+
+
+def yface_centers(grid):
+    """Meshgrid (X, Y) of y-face centers, shape (nx, ny+1)."""
+    x = (np.arange(grid.nx) + 0.5) * grid.dx
+    y = np.arange(grid.ny + 1) * grid.dy
+    return np.meshgrid(x, y, indexing="ij")
+
+
+def scalar_from_function(grid, fn):
+    """The cell field fn(x, y) sampled at the cell centers."""
+    X, Y = grid.cell_centers()
+    return ScalarField(grid, np.asarray(fn(X, Y), dtype=np.float64))
+
+
+def vector_from_functions(grid, fx, fy):
+    """The face field (fx, fy) sampled at the x- and y-face centers."""
+    return VectorField(grid, np.asarray(fx(*xface_centers(grid)), dtype=np.float64),
+                       np.asarray(fy(*yface_centers(grid)), dtype=np.float64))
+
+
+def norm_l2(f) -> float:
+    return float(np.sqrt(max(inner_product_l2(f, f), 0.0)))
+
+
+def laplacian_neumann(phi):
+    """5-point Laplacian with mirror (zero-flux) ghost cells, as a field."""
+    return ScalarField(phi.grid, laplacian_neumann_array(phi.values, phi.grid))
+
+
+# ---------------------------------------------------------------------------
+# per-step diagnostics of a stored trajectory
+
+DIAGNOSTIC_COLUMNS = ("step", "time", "mass", "kinetic_energy", "free_energy",
+                      "max_div", "max_u", "min_phi", "max_phi")
+
+
+def diagnostics(traj, kernel, potential):
+    """Per-step observables as a list of rows matching DIAGNOSTIC_COLUMNS."""
+    rows = []
+    for k in range(traj.nt + 1):
+        u, phi = traj.u[k], traj.phi[k]
+        kin, mixing, bulk = total_energy(u, phi, kernel, potential)
+        rows.append({
+            "step": k,
+            "time": float(traj.times[k]),
+            "mass": integral(phi),
+            "kinetic_energy": kin,
+            "free_energy": mixing + bulk,
+            "max_div": float(np.max(np.abs(divergence_face_to_cc(u).values))),
+            # np.maximum, unlike max(), keeps a NaN from either component
+            "max_u": float(np.maximum(np.max(np.abs(u.ux)), np.max(np.abs(u.uy)))),
+            "min_phi": float(phi.values.min()),
+            "max_phi": float(phi.values.max()),
+        })
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# first-order optimality: the complementarity conditions
+
+def complementarity_violation(v, g, bounds) -> float:
+    """Worst violation of the active-set sign conditions.
+
+    Strictly interior faces need |g| small; faces at the lower bound need
+    g >= 0 up to slack; faces at the upper bound need g <= 0 up to slack.
+    Returns the max over all faces and steps of the respective defect, NaN
+    if a defect is NaN: np.maximum, unlike max(), keeps a NaN.
+    """
+    worst = 0.0
+    for vk, gk, lo, hi in zip(v, g, bounds.lower, bounds.upper, strict=True):
+        for vc, gc, lc, hc in ((vk.ux, gk.ux, lo.ux, hi.ux),
+                               (vk.uy, gk.uy, lo.uy, hi.uy)):
+            at_lo = vc <= lc
+            at_hi = vc >= hc
+            defect = np.where(at_lo | at_hi, 0.0, np.abs(gc))
+            defect = np.maximum(defect, np.where(at_lo, -gc, 0.0))
+            defect = np.maximum(defect, np.where(at_hi, gc, 0.0))
+            worst = np.maximum(worst, np.max(defect))
+    return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# quadratic-remainder (Taylor) verification of the cost's derivative
+
+@dataclass
+class TaylorReport:
+    eps: list
+    remainders: list
+    pair_slopes: list
+    slope: float
+    derivative: float
+    cost_at_v: float
+
+    @property
+    def passed(self) -> bool:
+        return np.isfinite(self.slope) and 1.8 <= self.slope <= 2.2
+
+
+def taylor_test(problem, v, h, eps_sweep=(1e-1, 1e-2, 1e-3, 1e-4),
+                derivative=None) -> TaylorReport:
+    """Quadratic-remainder check of a directional derivative of the cost.
+
+    R(eps) = |J(v + eps h) - J(v) - eps * derivative| must shrink at slope 2
+    in a log-log fit over the sweep (points below the round-off floor are
+    dropped from the fit).  ``derivative`` defaults to the tangent-route
+    value; to test another representation, such as the adjoint gradient
+    paired with h, pass its value.
+    """
+    if len(eps_sweep) < 2:
+        raise ValueError("need at least two sweep values")
+    fwd = problem.forward
+    traj = fwd.run(v, problem.init)
+    J0 = evaluate_cost(traj, v, problem.targets, problem.weights)
+    if derivative is None:
+        tan = run_tangent(fwd, traj, h)
+        derivative = directional_derivative_via_tangent(
+            traj, tan, problem.targets, problem.weights, v, h)
+
+    eps_sweep = sorted(eps_sweep, reverse=True)
+    remainders = []
+    for eps in eps_sweep:
+        v_eps = control_axpy(eps, h, v)
+        J_eps = evaluate_cost(fwd.run(v_eps, problem.init), v_eps,
+                              problem.targets, problem.weights)
+        remainders.append(abs(J_eps - J0 - eps * derivative))
+
+    floor = 1e-13 * max(1.0, abs(J0))
+    pts = [(e, r) for e, r in zip(eps_sweep, remainders) if r > floor]
+    pair_slopes = []
+    for (e1, r1), (e2, r2) in zip(pts[:-1], pts[1:]):
+        pair_slopes.append(float(np.log(r1 / r2) / np.log(e1 / e2)))
+    if len(pts) >= 2:
+        le = np.log([p[0] for p in pts])
+        lr = np.log([p[1] for p in pts])
+        slope = float(np.polyfit(le, lr, 1)[0])
+    else:
+        slope = float("nan")
+    return TaylorReport(list(eps_sweep), remainders, pair_slopes, slope,
+                        float(derivative), J0)
+
+
+# ---------------------------------------------------------------------------
 # hypothesis checks: the paper's conditions on the kernel, the potential and
 # the viscosity, sampled and reported rather than raised
 
@@ -332,20 +492,49 @@ class HypothesisReport:
         return out
 
 
+@dataclass(frozen=True)
+class GrowthConstants:
+    """The constants of the growth conditions on the potential.
+
+    c2, c3, p: polynomial growth floor F'' + a >= c2 |s|^{p-2} - c3;
+    c4, c5, r: |F'|^r <= c4 |F| + c5.  No solve reads them; the coercivity
+    constant c1, which the kernel scaling reads, is
+    ``nchns.HypothesisConstants``.
+    """
+
+    c2: float = 1.0
+    c3: float = 1.0
+    c4: float = 5.0
+    c5: float = 1.0
+    p: float = 4.0
+    r: float = 4.0 / 3.0
+
+    def __post_init__(self):
+        if min(self.c2, self.c3, self.c4) <= 0 or self.c5 < 0:
+            raise ValueError("growth constants must be positive (c5 >= 0)")
+        if self.p <= 2:
+            raise ValueError("growth exponent p must exceed 2")
+        if not (1.0 < self.r <= 2.0):
+            raise ValueError("exponent r must lie in (1, 2]")
+
+
 def validate_potential_conditions(potential, kernel, constants,
+                                  growth=GrowthConstants(),
                                   s_range=(-10.0, 10.0), n_samples=10_000):
     """Sample the three conditions on F against the kernel's mass field.
 
-    The conditions are stated for all real s; this checks them densely on a
-    finite interval (recorded in the report) using min_x a(x), which is the
-    worst case in x for all three.
+    ``constants`` is the package's ``HypothesisConstants`` (c1), ``growth``
+    the constants of the two growth conditions.  The conditions are stated
+    for all real s; this checks them densely on a finite interval (recorded
+    in the report) using min_x a(x), which is the worst case in x for all
+    three.
     """
     s = np.linspace(s_range[0], s_range[1], n_samples)
     a_min = float(kernel.mass_field.values.min())
-    c = constants
+    c = growth
     report = HypothesisReport(s_interval=tuple(s_range))
 
-    m1 = potential.d2f(s) + a_min - c.c1
+    m1 = potential.d2f(s) + a_min - constants.c1
     i1 = int(np.argmin(m1))
     report.conditions.append(ConditionResult(
         "coercivity F'' + a >= c1", bool(m1[i1] >= 0), float(m1[i1]), float(s[i1]),

