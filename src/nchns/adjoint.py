@@ -5,8 +5,9 @@ stencils (optimize-then-discretize): after reversing time both equations are
 forward-parabolic, so one backward step applies
 
 * an explicit viscous/transport update of the adjoint velocity through the
-  forward solver's ``advance_velocity`` (no-slip faces, then the same
-  pressure projection), then
+  forward solver's ``advance_velocity`` (the predictor formed in the
+  right-hand side's arrays, its no-slip faces zeroed, then projected in
+  place by the same pressure solve, which gates max|div au| <= tol_p), then
 * a semi-implicit update of the adjoint phase.  Its stiff part
   c~ Lap q, c~ = a + F''(phi) (coercive under the validated hypothesis
   a + F'' >= c1 > 0), is split as c_n Lap q_n + (c~ - c_n) Lap q_{n+1}

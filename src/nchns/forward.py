@@ -226,39 +226,30 @@ class ForwardSolver:
 
     # -- momentum step -------------------------------------------------------
 
-    def project(self, u_star: VectorField) -> VectorField:
-        """Leray projection by one direct pressure-Poisson solve.
+    def project(self, u: VectorField) -> VectorField:
+        """Leray projection of a copy of u: its boundary-normal faces are
+        zeroed, then the pressure solve projects it in place.
 
-        The solver returns the face gradient g = grad q of the solution of
-        Lap_N q = div u* (q = dt pi), and u = u* - g.  The solve's residual,
-        div u* - div g (div u* - Lap_N q on grids above the solver's
-        crossover, the same in exact arithmetic), is the divergence left in
-        u, so its post-condition max|r| <= tol_p is the divergence gate.  A
-        miss names the predictor's divergence, since the residual is
-        round-off relative to it while tol_p is absolute.
+        The solve's post-condition is the divergence gate, max|div u| <= tol_p
+        on the velocity returned; a miss names the predictor's divergence
+        too, since the round-off left is relative to it while tol_p is
+        absolute.
         """
-        b = divergence_face_to_cc(u_star).values
-        try:
-            gq, _ = self._poisson.solve(b, atol=self.scheme.tol_p)
-        except SolverConvergenceError as exc:
-            raise SolverConvergenceError(
-                f"projection left max|div u| = {exc.residual:.3e} > tol_p = "
-                f"{self.scheme.tol_p:.3e} from a predictor with max|div u*| = "
-                f"{float(np.max(np.abs(b))):.3e}",
-                residual=exc.residual, iterations=exc.iterations) from exc
-        u = VectorField(self.grid, u_star.ux - gq.ux, u_star.uy - gq.uy)
-        u.enforce_noslip_normal()
-        return u
+        u_star = u.copy().enforce_noslip_normal()
+        return self._poisson.solve(u_star, atol=self.scheme.tol_p)[0]
 
     def advance_velocity(self, u: VectorField, rhs: VectorField) -> VectorField:
-        """Explicit update u + dt rhs, shared by all three sweeps.
+        """Explicit update u + dt rhs, projected; shared by all three sweeps.
 
-        Zeroes the no-slip normal faces of the predictor, then projects it.
+        The predictor is formed in rhs's own arrays, which the caller hands
+        over; its no-slip normal faces are zeroed once, and one pressure
+        solve projects it in place and checks the divergence it leaves.
         """
-        u_star = self.scheme.dt * rhs
-        u_star += u
-        u_star.enforce_noslip_normal()
-        return self.project(u_star)
+        rhs.ux *= self.scheme.dt
+        rhs.uy *= self.scheme.dt
+        rhs += u
+        rhs.enforce_noslip_normal()
+        return self._poisson.solve(rhs, atol=self.scheme.tol_p)[0]
 
     def momentum_rhs(self, u: VectorField, phi_new: ScalarField,
                      mu_new: ScalarField, v: VectorField) -> VectorField:

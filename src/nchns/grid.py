@@ -51,8 +51,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("domain edge lengths must be positive")
+        if not (self.lx > 0 and self.ly > 0):
+            raise ValueError(f"domain edge lengths must be positive, got {self.lx}, {self.ly}")
 
     @property
     def dx(self) -> float:

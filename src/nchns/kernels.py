@@ -118,8 +118,8 @@ def _factors(family: str, params: dict, grid: Grid2D) -> tuple:
     amp = float(params.get("amplitude", 1.0))
     if family == "gaussian":
         sigma = float(params["width"])
-        if sigma <= 0:
-            raise ValueError("gaussian kernel width must be positive")
+        if not sigma > 0:
+            raise ValueError(f"gaussian kernel width must be positive, got {sigma}")
         fx = amp * np.exp(-ox ** 2 / (2.0 * sigma ** 2))
         fy = np.exp(-oy ** 2 / (2.0 * sigma ** 2))
         return fx, -(ox / sigma ** 2) * fx, fy, -(oy / sigma ** 2) * fy

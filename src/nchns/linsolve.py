@@ -4,8 +4,10 @@ Both operators are built from the mirror-ghost Neumann Laplacian Lap_N:
 
 * the Helmholtz problem u - c dt Lap_N u = b of the semi-implicit phase
   steps (forward, tangent and adjoint), with a constant c > 0;
-* the singular pressure Poisson problem Lap_N p = b, whose constant null
-  space is projected out.
+* the pressure projection of a no-slip predictor u*: Lap_N q = div u*,
+  then u = u* - grad q.  Lap_N is singular on the constants, and the
+  inverse symbol is zero on that mode, so the solve drops the mean of
+  div u* (round-off for a predictor with zero boundary-normal faces).
 
 On the uniform grid the DCT-II basis diagonalizes Lap_N exactly, so each
 problem is one forward transform, a multiply by the inverse of the
@@ -26,37 +28,39 @@ The transform takes one of two paths, chosen from max(nx, ny) alone:
 Dense time over transform time on one thread (median of three passes of
 best-of-seven timings on a shared 2-vCPU x86_64 VM, OpenBLAS, square
 grids); "Helmholtz" is the transform pair alone, "projection" the whole
-pressure solve of each path, residual and face gradient included:
+in-place projection of each path, both divergences included:
 
     n           16    24    32    48    64    96   112   128   192   256
     Helmholtz  0.22  0.25  0.31  0.42  0.56  0.80  1.21  1.23  1.98  2.75
-    projection 0.46  0.59  0.51  0.62  0.75  0.94  0.95  1.38  1.45  1.57
+    projection 0.51  0.50  0.55  0.61  0.74  0.93  1.16  1.26  1.26  1.61
 
-The Helmholtz ratio passes 1 between 96 and 112 and the projection's
-between 112 and 128; single passes at 96 read 0.7-1.2 and 0.9-1.5, a wash,
-so the crossover is set there.  32^2 and 64^2 grids take the dense path,
-128^2 grids the transform path.
+Both ratios pass 1 between 96 and 112; single Helmholtz passes at 96 read
+0.7-1.2, a wash, so the crossover is set at 96.  32^2 and 64^2 grids take
+the dense path, 128^2 grids the transform path.
 
-The pressure solve returns the face gradient of its solution, the only
-thing the projection subtracts.  On the dense path the gradient is
-synthesized from the spectral solution p^ directly, g_x = G_x p^ C_y and
-g_y = C_x^T p^ G_y^T, where G holds the face differences of the cosine
-modes and has zero boundary rows; it is not differenced from a pressure
-synthesized in cell space, which rounds twice.  On the 24 x 40 (lx = 2)
-grid, twenty white-noise predictors of amplitude 100 keep a max|div u| of
-at most 1.7e-11 after the dense projection and 1.9e-11 after the
-transform path, but up to 4.6e-11 when the dense pressure is synthesized
-in cell space and then differenced, against the default tol_p = 1e-10.
-On the transform path the solve differences the pressure with
-``gradient_cc_to_face`` and checks the residual rhs - Lap_N p; on the
-dense path it checks rhs - div g, the divergence the projection leaves.
+The projection works in the predictor's own arrays: it takes b = div u*,
+solves for q and subtracts grad q from u*, leaving the boundary-normal
+faces as they are.  On the dense path grad q is synthesized from the
+spectral solution q^ directly, g_x = G_x q^ C_y and g_y = C_x^T q^ G_y^T,
+where G holds the face differences of the cosine modes and has zero
+boundary rows; it is not differenced from a q synthesized in cell space,
+which rounds twice.  On the transform path the interior face differences
+of q are subtracted.  Either way the post-condition is the divergence
+gate itself: ``atol`` (the scheme's tol_p) bounds max|div u| of the
+velocity returned, and a miss names max|div u*| too, since the round-off
+left is relative to the predictor's divergence while tol_p is absolute.
+On the 24 x 40 (lx = 2) grid, twenty white-noise predictors of amplitude
+100 keep a max|div u| of at most 2.6e-11 after the dense projection and
+1.9e-11 after the transform path, against the default tol_p = 1e-10; a
+dense pressure synthesized in cell space and then differenced left up to
+4.6e-11 when the path was chosen.
 
 The Helmholtz solve returns its solution in flux form, u = b + dt Lap_N psi
 with psi = c u from the transform: the cell sum of u is then that of b to
 round-off whatever the transform's error, so the phase steps conserve
-mass, and the same Laplacian gives the residual u - psi / c.  ``atol`` is a
-post-condition on the residual, not a stopping test: a residual above it,
-or one that is not finite, raises ``SolverConvergenceError``.
+mass, and the same Laplacian gives the residual u - psi / c.  In both
+solves ``atol`` is a post-condition, not a stopping test: a residual above
+it, or one that is not finite, raises ``SolverConvergenceError``.
 
 The transforms run on scipy.fft's default of one worker; a caller that
 wants more wraps its calls in ``scipy.fft.set_workers``.  The dense
@@ -71,8 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grid import (Grid2D, ScalarField, VectorField, _laplacian_matrix,
-                   divergence_face_to_cc, gradient_cc_to_face,
+from .grid import (Grid2D, VectorField, _laplacian_matrix, divergence_face_to_cc,
                    laplacian_neumann_array)
 
 
@@ -88,9 +91,9 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass
 class SolveInfo:
-    """``iterations`` counts applications of the solver's inverse: 1 per
-    solve, 0 for the Poisson solve of a constant right-hand side.
-    ``residual`` is max|r| of the returned solution."""
+    """``iterations`` counts applications of the solver's inverse, 1 per
+    solve.  ``residual`` is max|r| of the returned solution: the Helmholtz
+    residual, or the divergence the projection leaves."""
 
     iterations: int
     residual: float
@@ -157,54 +160,52 @@ def _dct_solve(rhs: np.ndarray, inv_symbol: np.ndarray) -> np.ndarray:
     return cx.T @ rhat @ cy
 
 
-def _checked(x, r, atol, problem):
-    """``(x, SolveInfo)`` if the residual r meets atol; raises otherwise,
-    also on a residual that is not finite."""
-    res = float(np.max(np.abs(r)))
-    if not res <= atol:
-        raise SolverConvergenceError(
-            f"direct {problem} solve missed residual {atol:.3e} (got {res:.3e})",
-            residual=res, iterations=1)
-    return x, SolveInfo(1, res)
-
-
 class NeumannPoissonSolver:
-    """Solves Lap_N p = rhs, rhs = b - mean(b), and returns grad p on faces.
+    """Projects a no-slip predictor u* onto max|div u| <= atol, in place.
 
-    The face gradient g is all the pressure projection reads, so the solve
-    returns it in place of p; its boundary-normal faces are zero.  Below
-    the crossover g is synthesized in the cosine basis, differenced there
-    (see the module docstring), and ``atol`` bounds max|rhs - div g|, the
-    divergence that subtracting g leaves; above it p comes from scipy.fft,
-    ``atol`` bounds max|rhs - Lap_N p|, and g = ``gradient_cc_to_face(p)``.
-    An all-zero rhs returns a zero g with ``SolveInfo(0, 0.0)``.
+    One solve takes b = div u*, solves Lap_N q = b for the pressure
+    increment q and subtracts grad q from u* in its own arrays.  Below the
+    crossover grad q is synthesized in the cosine basis (see the module
+    docstring); above it q comes from scipy.fft and its interior
+    differences are subtracted.  Either way the boundary-normal faces of u*
+    are left as they are, zero for a no-slip predictor, and ``atol`` bounds
+    max|div u| of the velocity returned; a miss, or a value that is not
+    finite, raises and names both max|div u| and max|div u*|.
     """
 
     def __init__(self, grid: Grid2D):
         self.grid = grid
         lam = _neumann_eigenvalues(grid)
         self._inv_lam = np.divide(-1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
-        _laplacian_matrix(grid)     # tabulated in set-up, before any solve
         if _dense((grid.nx, grid.ny)):
             _cosine_gradient(grid.nx, grid.dx)
             _cosine_gradient(grid.ny, grid.dy)
 
-    def solve(self, b: np.ndarray, atol: float):
+    def solve(self, u: VectorField, atol: float):
+        """Projects u (zero boundary-normal faces) in place; ``(u, SolveInfo)``."""
         grid = self.grid
-        rhs = b - b.mean()
-        if not rhs.any():
-            return VectorField.zeros(grid), SolveInfo(0, 0.0)
-        if not _dense(rhs.shape):
-            p = _dct_solve(rhs, self._inv_lam)
-            _, info = _checked(p, rhs - laplacian_neumann_array(p, grid), atol,
-                               "Poisson")
-            return gradient_cc_to_face(ScalarField(grid, p)), info
-        cx, cy = _cosine_basis(grid.nx), _cosine_basis(grid.ny)
-        phat = cx @ rhs @ cy.T
-        phat *= self._inv_lam
-        g = VectorField(grid, _cosine_gradient(grid.nx, grid.dx) @ (phat @ cy),
-                        (cx.T @ phat) @ _cosine_gradient(grid.ny, grid.dy).T)
-        return _checked(g, rhs - divergence_face_to_cc(g).values, atol, "Poisson")
+        b = divergence_face_to_cc(u).values
+        if _dense(b.shape):
+            cx, cy = _cosine_basis(grid.nx), _cosine_basis(grid.ny)
+            qhat = cx @ b @ cy.T
+            qhat *= self._inv_lam
+            u.ux -= _cosine_gradient(grid.nx, grid.dx) @ (qhat @ cy)
+            u.uy -= (cx.T @ qhat) @ _cosine_gradient(grid.ny, grid.dy).T
+        else:
+            q = _dct_solve(b, self._inv_lam)
+            dq = np.subtract(q[1:], q[:-1])
+            dq /= grid.dx
+            u.ux[1:-1] -= dq
+            dq = np.subtract(q[:, 1:], q[:, :-1])
+            dq /= grid.dy
+            u.uy[:, 1:-1] -= dq
+        res = float(np.abs(divergence_face_to_cc(u).values).max())
+        if not res <= atol:
+            raise SolverConvergenceError(
+                f"projection left max|div u| = {res:.3e} > tol_p = {atol:.3e} from "
+                f"a predictor with max|div u*| = {float(np.max(np.abs(b))):.3e}",
+                residual=res, iterations=1)
+        return u, SolveInfo(1, res)
 
 
 class HelmholtzNeumannSolver:
@@ -236,4 +237,9 @@ class HelmholtzNeumannSolver:
         u += b
         psi *= -self.inv_c          # the residual u - psi / c, in psi's buffer
         psi += u
-        return _checked(u, psi, atol, "Helmholtz")
+        res = float(np.max(np.abs(psi)))
+        if not res <= atol:
+            raise SolverConvergenceError(
+                f"direct Helmholtz solve missed residual {atol:.3e} (got {res:.3e})",
+                residual=res, iterations=1)
+        return u, SolveInfo(1, res)

@@ -34,8 +34,8 @@ class DoubleWell:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("double-well scale must be positive")
+        if not self.scale > 0:
+            raise ValueError(f"double-well scale must be positive, got {self.scale}")
 
     def f(self, s):
         return 0.25 * self.scale * (s ** 2 - 1.0) ** 2 + self.offset
@@ -61,13 +61,15 @@ class Viscosity:
     nu_max: float = 1.6
 
     def __post_init__(self):
-        if self.nu_min <= 0:
-            raise ValueError("lower viscosity bound must be positive")
-        if self.mean - abs(self.modulation) < self.nu_min:
+        # written so that a NaN in any field, for which every comparison
+        # is False, fails
+        if not self.nu_min > 0:
+            raise ValueError(f"lower viscosity bound must be positive, got {self.nu_min}")
+        if not self.mean - abs(self.modulation) >= self.nu_min:
             raise ValueError(
                 f"viscosity can drop to {self.mean - abs(self.modulation):g}, "
                 f"below the declared bound {self.nu_min:g}")
-        if self.mean + abs(self.modulation) > self.nu_max:
+        if not self.mean + abs(self.modulation) <= self.nu_max:
             raise ValueError(
                 f"viscosity can reach {self.mean + abs(self.modulation):g}, "
                 f"above the declared bound {self.nu_max:g}")

@@ -39,8 +39,11 @@ class CostWeights:
 
     def __post_init__(self):
         vals = (self.b1, self.b2, self.b3, self.b4, self.gamma)
-        if any(v < 0 for v in vals):
-            raise ValueError("cost weights must be nonnegative")
+        for name, v in zip(("b1", "b2", "b3", "b4", "gamma"), vals):
+            # written so that a NaN, for which every comparison is False, fails
+            if not 0 <= v < np.inf:
+                raise ValueError(f"cost weight {name} must be finite and "
+                                 f"nonnegative, got {v}")
         if all(v == 0 for v in vals):
             raise ValueError("cost weights must not vanish simultaneously")
 

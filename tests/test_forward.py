@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -7,6 +9,7 @@ from nchns import (CFLViolationError, DoubleWell, ForwardSolver, Grid2D,
                    StepFailureError, TimeScheme, VectorField, Viscosity,
                    divergence_face_to_cc, gradient_cc_to_face, integral,
                    make_kernel, total_energy, zero_control)
+import nchns
 from nchns import linsolve
 from nchns.linsolve import SolverConvergenceError
 from nchns.presets import scalar_preset, vector_preset
@@ -125,6 +128,51 @@ def test_projection_failure_names_predictor_divergence(rng, monkeypatch):
         with pytest.raises(SolverConvergenceError) as err:
             solver.project(u)
         assert f"max|div u*| = {div:.3e}" in str(err.value)
+
+
+def test_project_of_a_uniform_flow_meets_the_gate(monkeypatch):
+    # ux = 1 on every face, the walls included: the divergence the zeroed
+    # wall faces leave must be projected out, not left behind unchecked
+    grid = Grid2D(16, 16)
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                               Viscosity(), TimeScheme(dt=1e-5, nt=1))
+        u = VectorField(grid, np.ones((17, 16)), np.zeros((16, 17)))
+        pu = solver.project(u)
+        assert np.max(np.abs(divergence_face_to_cc(pu).values)) <= solver.scheme.tol_p
+        assert np.all(pu.ux[0, :] == 0.0) and np.all(pu.ux[-1, :] == 0.0)
+
+
+def test_one_velocity_update_makes_one_solve_and_two_divergences(rng, monkeypatch):
+    # the predictor is projected in place and its gate is the divergence of
+    # the velocity returned: no Laplacian residual on either path
+    calls = dict.fromkeys(("solve", "divergence_face_to_cc",
+                           "laplacian_neumann_array"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("divergence_face_to_cc", "laplacian_neumann_array"):
+        fn = getattr(nchns.grid, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("nchns")]:
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(linsolve.NeumannPoissonSolver, "solve",
+                        counted("solve", linsolve.NeumannPoissonSolver.solve))
+    grid = Grid2D(24, 40, 2.0, 1.0)
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        solver = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                               Viscosity(), TimeScheme(dt=1e-5, nt=1))
+        u, rhs = _noisy_velocity(grid, rng, 1.0), _noisy_velocity(grid, rng, 1.0)
+        calls.update(dict.fromkeys(calls, 0))
+        solver.advance_velocity(u, rhs)
+        assert calls == {"solve": 1, "divergence_face_to_cc": 2,
+                         "laplacian_neumann_array": 0}
 
 
 def test_energy_non_increasing():

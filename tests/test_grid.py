@@ -403,3 +403,9 @@ def test_inner_product_sine_integral():
     grid = Grid2D(64, 64, 1.0, 1.0)
     s = scalar_from_function(grid, lambda x, y: np.sin(2 * np.pi * x))
     assert abs(inner_product_l2(s, s) - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize("lx, ly", [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0)])
+def test_grid_rejects_a_nan_or_nonpositive_edge(lx, ly):
+    with pytest.raises(ValueError, match="domain edge lengths must be positive"):
+        Grid2D(8, 8, lx, ly)

@@ -276,3 +276,9 @@ def test_admissibility_flags_asymmetric_stencil(grid16):
 def test_admissibility_rejects_bad_sample_count(gauss16):
     with pytest.raises(ValueError):
         check_admissibility(gauss16, samples=0)
+
+
+@pytest.mark.parametrize("width", [np.nan, 0.0])
+def test_gaussian_rejects_a_nan_or_nonpositive_width(width):
+    with pytest.raises(ValueError, match="gaussian kernel width must be positive"):
+        make_kernel(Grid2D(8, 8), "gaussian", width=width)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nchns import Grid2D, Viscosity
+from nchns import (DoubleWell, ForwardSolver, Grid2D, TimeScheme, VectorField,
+                   Viscosity, make_kernel)
 from nchns.grid import divergence_face_to_cc, laplacian_neumann_array
 from nchns.linsolve import (HelmholtzNeumannSolver, NeumannPoissonSolver,
                             SolverConvergenceError)
@@ -14,57 +15,74 @@ def boundary_normal_faces_are_zero(g):
             and np.all(g.uy[:, 0] == 0.0) and np.all(g.uy[:, -1] == 0.0))
 
 
+def predictor(grid, rng):
+    """White-noise face velocity with zero boundary-normal faces."""
+    u = VectorField(grid, rng.standard_normal((grid.nx + 1, grid.ny)),
+                    rng.standard_normal((grid.nx, grid.ny + 1)))
+    return u.enforce_noslip_normal()
+
+
+def max_div(u):
+    return np.max(np.abs(divergence_face_to_cc(u).values))
+
+
 def test_poisson_solves_to_requested_residual(rng):
     grid = Grid2D(32, 32, 1.0, 1.0)
-    b = rng.standard_normal((32, 32))
-    b -= b.mean()
-    solver = NeumannPoissonSolver(grid)
-    g, info = solver.solve(b, atol=1e-12)
-    res = b - divergence_face_to_cc(g).values
-    assert np.max(np.abs(res - res.mean())) <= 1e-12
-    assert boundary_normal_faces_are_zero(g)
+    u = predictor(grid, rng)
+    pu, info = NeumannPoissonSolver(grid).solve(u, atol=1e-12)
+    assert pu is u                      # projected in the predictor's arrays
+    assert info.iterations == 1
+    assert info.residual == max_div(pu) <= 1e-12
+    assert boundary_normal_faces_are_zero(pu)
 
 
 def test_poisson_nonsquare_grid(rng):
     grid = Grid2D(24, 40, 2.0, 1.0)
-    b = rng.standard_normal((24, 40))
-    b -= b.mean()
-    g, _ = NeumannPoissonSolver(grid).solve(b, atol=1e-11)
-    res = b - divergence_face_to_cc(g).values
-    assert np.max(np.abs(res)) <= 1e-11
+    pu, _ = NeumannPoissonSolver(grid).solve(predictor(grid, rng), atol=1e-11)
+    assert max_div(pu) <= 1e-11
+    assert boundary_normal_faces_are_zero(pu)
 
 
-def test_poisson_zero_rhs_returns_zero():
+def test_poisson_zero_rhs_returns_zero(monkeypatch):
+    # a zero predictor takes the one application like any other
     grid = Grid2D(16, 16)
-    g, info = NeumannPoissonSolver(grid).solve(np.zeros((16, 16)), atol=1e-13)
-    assert np.all(g.ux == 0.0) and np.all(g.uy == 0.0)
-    assert info.iterations == 0
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        pu, info = NeumannPoissonSolver(grid).solve(VectorField.zeros(grid), atol=1e-13)
+        assert np.all(pu.ux == 0.0) and np.all(pu.uy == 0.0)
+        assert info.iterations == 1
 
 
 def test_poisson_is_linear_below_atol(rng):
-    # a right-hand side already inside atol is still solved, so the
-    # projection stays linear on small divergences
+    # a predictor whose divergence is already inside atol is still
+    # projected, so the projection stays linear on small divergences
     grid = Grid2D(24, 40, 2.0, 1.0)
-    b = rng.standard_normal((24, 40))
+    u = predictor(grid, rng)
     solver = NeumannPoissonSolver(grid)
-    g, _ = solver.solve(b, atol=1e-10)
-    scale = 2.0 ** -40
-    g_small, info = solver.solve(scale * b, atol=1e-10)
+    scale = 2.0 ** -44        # max|div u*| about 200, so 1.1e-11 after scaling
+    g = u - solver.solve(u.copy(), atol=1e-10)[0]
+    small = scale * u
+    assert max_div(small) <= 1e-10
+    pu_small, info = solver.solve(small.copy(), atol=1e-10)
     assert info.iterations == 1
-    for small, full in ((g_small.ux, g.ux), (g_small.uy, g.uy)):
-        assert np.max(np.abs(small - scale * full)) <= 1e-14 * scale * np.max(np.abs(full))
+    g_small = small - pu_small
+    for gs, gf in ((g_small.ux, g.ux), (g_small.uy, g.uy)):
+        assert np.max(np.abs(gs - scale * gf)) <= 1e-14 * scale * np.max(np.abs(gf))
 
 
 @pytest.mark.parametrize("nx, ny, lx", [(24, 40, 2.0), (33, 17, 1.0)])
 def test_dense_and_transform_paths_agree(nx, ny, lx, rng, monkeypatch):
+    # the Helmholtz solutions, and the gradients u* - P u* the projection
+    # subtracts
     grid = Grid2D(nx, ny, lx, 1.0)
     b = rng.standard_normal((nx, ny))
+    u = predictor(grid, rng)
     solved = {}
     for path in SOLVER_PATHS:
         force_solver_path(monkeypatch, path)
-        u, _ = HelmholtzNeumannSolver(grid, 1.5, 1e-2).solve(b, atol=1e-12)
-        g, _ = NeumannPoissonSolver(grid).solve(b, atol=1e-11)
-        solved[path] = (u, g.ux, g.uy)
+        w, _ = HelmholtzNeumannSolver(grid, 1.5, 1e-2).solve(b, atol=1e-12)
+        g = u - NeumannPoissonSolver(grid).solve(u.copy(), atol=1e-11)[0]
+        solved[path] = (w, g.ux, g.uy)
     for dense, transform in zip(solved["dense"], solved["transform"]):
         assert np.max(np.abs(dense - transform)) <= 1e-13 * np.max(np.abs(transform))
 
@@ -102,17 +120,24 @@ def test_helmholtz_unreachable_atol_raises_after_one_solve(rng, monkeypatch):
 
 def test_solves_leave_rhs_unchanged(rng, monkeypatch):
     # the Helmholtz solve rebuilds its solution from b after the transform,
-    # so a transform that wrote into b would break mass conservation
+    # so a transform that wrote into b would break mass conservation; the
+    # pressure solve projects in place, so ``project`` works on a copy
     grid = Grid2D(24, 40, 2.0, 1.0)
     b = rng.standard_normal((24, 40)) + 0.3     # not mean-zero
+    u = VectorField(grid, rng.standard_normal((25, 40)),    # walls not zeroed
+                    rng.standard_normal((24, 41)))
     for path in SOLVER_PATHS:
         force_solver_path(monkeypatch, path)
-        for solver in (HelmholtzNeumannSolver(grid, 1.5, 1e-2),
-                       NeumannPoissonSolver(grid)):
-            kept = b.copy()
-            _, info = solver.solve(b, atol=1e-12)
-            assert info.iterations >= 1
-            assert np.array_equal(b, kept)
+        kept = b.copy()
+        _, info = HelmholtzNeumannSolver(grid, 1.5, 1e-2).solve(b, atol=1e-12)
+        assert info.iterations == 1
+        assert np.array_equal(b, kept)
+        fwd = ForwardSolver(grid, make_kernel(grid, "delta"), DoubleWell(),
+                            Viscosity(), TimeScheme(dt=1e-5, nt=1))
+        kept = u.copy()
+        pu = fwd.project(u)
+        assert max_div(pu) <= fwd.scheme.tol_p and pu.ux is not u.ux
+        assert np.array_equal(u.ux, kept.ux) and np.array_equal(u.uy, kept.uy)
 
 
 def test_non_finite_rhs_fails_fast(rng, monkeypatch):
@@ -121,16 +146,20 @@ def test_non_finite_rhs_fails_fast(rng, monkeypatch):
     b[7, 11] = np.nan
     for path in SOLVER_PATHS:
         force_solver_path(monkeypatch, path)
-        for solver in (HelmholtzNeumannSolver(grid, 1.5, 1e-3),
-                       NeumannPoissonSolver(grid)):
+        u = predictor(grid, rng)
+        u.uy[7, 11] = np.nan
+        for solve, arg in ((HelmholtzNeumannSolver(grid, 1.5, 1e-3).solve, b),
+                           (NeumannPoissonSolver(grid).solve, u)):
             with pytest.raises(SolverConvergenceError) as err:
-                solver.solve(b, atol=1e-12)
+                solve(arg, atol=1e-12)
             assert err.value.iterations <= 1
 
 
-def test_poisson_unreachable_atol_raises_after_one_solve(rng):
-    # the direct solve checks its residual once; it never iterates
+def test_poisson_unreachable_atol_raises_after_one_solve(rng, monkeypatch):
+    # the direct solve checks the divergence it leaves once; it never iterates
     grid = Grid2D(16, 16)
-    with pytest.raises(SolverConvergenceError) as err:
-        NeumannPoissonSolver(grid).solve(rng.standard_normal((16, 16)), atol=1e-30)
-    assert err.value.iterations == 1
+    for path in SOLVER_PATHS:
+        force_solver_path(monkeypatch, path)
+        with pytest.raises(SolverConvergenceError) as err:
+            NeumannPoissonSolver(grid).solve(predictor(grid, rng), atol=1e-30)
+        assert err.value.iterations == 1

@@ -65,6 +65,14 @@ def test_cost_length_mismatch():
         evaluate_cost(traj, h[:-1], problem.targets, problem.weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", ["b1", "b2", "b3", "b4", "gamma"])
+def test_cost_weights_reject_a_bad_weight_by_name(name, bad):
+    # a NaN weight used to pass and fail later, inside an adjoint projection
+    with pytest.raises(ValueError, match=f"cost weight {name} must be finite"):
+        CostWeights(**{"b1": 1.0, name: bad})
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

@@ -139,3 +139,14 @@ def test_constants_validation():
         GrowthConstants(r=2.5)
     with pytest.raises(ValueError):
         HypothesisConstants(c1=0.0)
+
+
+def test_double_well_rejects_a_nan_scale():
+    with pytest.raises(ValueError, match="double-well scale must be positive, got nan"):
+        DoubleWell(scale=np.nan)
+
+
+@pytest.mark.parametrize("name", ["mean", "modulation", "nu_min", "nu_max"])
+def test_viscosity_rejects_a_nan_field(name):
+    with pytest.raises(ValueError, match="nan"):
+        Viscosity(**{name: np.nan})
